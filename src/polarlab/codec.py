@@ -3,6 +3,9 @@
 Everything works in natural bit order (no bit-reversal permutation); the
 frozen mask uses the same order. Decoders are batched over frames: the
 single-frame entry points wrap the batch kernels with a leading axis of 1.
+Both decoders keep one LLR and one partial-sum array per tree level; SCL
+adds a path axis and, per level, a path-pointer array, so a fork re-points
+paths (Tal & Vardy's lazy copy) and a level is gathered only when read.
 """
 
 from dataclasses import dataclass, field
@@ -311,21 +314,29 @@ def scl_decode_batch(
     n = spec.stages
     frozen = mask.bits
 
-    # per-path LLRs and partial sums packed level by level into flat buffers
-    offs = np.concatenate([[0], np.cumsum(1 << np.arange(n))])
-    S = int(offs[-1])  # N - 1 slots: levels 0..n-1
-    llrbuf = np.zeros((B, P, S))
-    sumbuf = np.zeros((B, P, S), dtype=np.uint8)
+    # per-level path state as in SC plus a path axis: llr_lvl[l] and sums[l]
+    # are (B, P, 2**l). A fork copies none of it but re-points it:
+    # ptr[l][b*P + p] is the flat row holding path p's block (None: b*P + p).
+    # A read gathers the level and resets its pointer; no fork re-points a
+    # level between its last read and its next write, so writes, which cover
+    # every path, always land on identity pointers
+    llr_lvl = [np.zeros((B, P, 1 << l)) for l in range(n)]
+    sums = [np.zeros((B, P, 1 << l), dtype=np.uint8) for l in range(n)]
+    llr_ptr = [None] * (n + 1)  # level n is the channel, shared by all paths
+    sum_ptr = [None] * n
     metrics = np.full((B, P), np.inf)
     metrics[:, 0] = 0.0
-    rows = np.arange(B)[:, None]
+    row0 = np.arange(B)[:, None] * P
     # fork history for final backtracking (cheaper than gathering a full
     # per-path decision array at every fork)
     fork_parents: list[np.ndarray] = []
     fork_bits: list[np.ndarray] = []
 
-    def lvl(buf, l):
-        return buf[:, :, offs[l]:offs[l + 1]]
+    def read(bufs, ptr, l):
+        if ptr[l] is not None:
+            flat = bufs[l].reshape(B * P, -1)
+            bufs[l] = np.take(flat, ptr[l], axis=0).reshape(bufs[l].shape)
+            ptr[l] = None
 
     chan = llrs[:, None, :]  # broadcast over paths
 
@@ -334,13 +345,16 @@ def scl_decode_batch(
             top = n
         else:
             t = (i & -i).bit_length() - 1
-            a, b = _parent_halves_scl(chan, llrbuf, offs, t, i, n)
-            lvl(llrbuf, t)[:] = _g(a, b, lvl(sumbuf, t))
+            read(llr_lvl, llr_ptr, t + 1)
+            read(sums, sum_ptr, t)
+            a, b = _parent_halves(chan, llr_lvl, t, i, n)
+            llr_lvl[t][:] = _g(a, b, sums[t])
             top = t
         for l in range(top - 1, -1, -1):
-            a, b = _parent_halves_scl(chan, llrbuf, offs, l, i, n)
-            lvl(llrbuf, l)[:] = f_func(a, b)
-        leaf = llrbuf[:, :, 0]  # (B, P)
+            read(llr_lvl, llr_ptr, l + 1)
+            a, b = _parent_halves(chan, llr_lvl, l, i, n)
+            llr_lvl[l][:] = f_func(a, b)
+        leaf = llr_lvl[0][:, :, 0]  # (B, P)
 
         if frozen[i]:
             if exact_metric:
@@ -366,23 +380,22 @@ def scl_decode_batch(
             metrics = np.take_along_axis(cand, order, axis=1)
             fork_parents.append(parent)
             fork_bits.append(u)
-            # gather only the state a later bit can still read before it is
-            # recomputed: LLR level l when this position sits in the f half
-            # of its level-(l-1) pair, partial sums at level l once the left
-            # sibling codeword is stored (bit l of i set)
-            new_llr = np.empty_like(llrbuf)
-            new_sum = np.empty_like(sumbuf)
+            rows = (row0 + parent).ravel()
+            # re-point only the state a later bit can still read before it
+            # is rewritten: LLR level l when this position sits in the f
+            # half of its level-(l-1) pair, partial sums at level l once the
+            # left sibling codeword is stored (bit l of i set)
             for l in range(1, n):
                 if not (i >> (l - 1)) & 1:
-                    sl = slice(offs[l], offs[l + 1])
-                    new_llr[:, :, sl] = llrbuf[:, :, sl][rows, parent]
+                    llr_ptr[l] = _compose(llr_ptr[l], rows)
             for l in range(n):
                 if (i >> l) & 1:
-                    sl = slice(offs[l], offs[l + 1])
-                    new_sum[:, :, sl] = sumbuf[:, :, sl][rows, parent]
-            llrbuf, sumbuf = new_llr, new_sum
+                    sum_ptr[l] = _compose(sum_ptr[l], rows)
 
-        _propagate_sums_scl(sumbuf, offs, u[:, :, None], i, n)
+        ones = (i ^ (i + 1)).bit_length() - 1  # trailing ones of i
+        for l in range(ones):
+            read(sums, sum_ptr, l)
+        _propagate_sums(sums, u[:, :, None], i, n)
 
     # backtrack from the minimum-metric final path (ties: lowest index)
     best = np.argmin(metrics, axis=1)
@@ -395,26 +408,9 @@ def scl_decode_batch(
     return payload
 
 
-def _parent_halves_scl(chan, llrbuf, offs, l, i, n):
-    h = 1 << l
-    if l + 1 == n:
-        base = (i >> (l + 1)) << (l + 1)
-        blk = chan[:, :, base:base + 2 * h]
-    else:
-        blk = llrbuf[:, :, offs[l + 1]:offs[l + 2]]
-    return blk[..., :h], blk[..., h:]
-
-
-def _propagate_sums_scl(sumbuf, offs, u, i, n):
-    c = u
-    pos, l = i, 0
-    while pos & 1:
-        left = sumbuf[:, :, offs[l]:offs[l + 1]]
-        c = np.concatenate([left ^ c, c], axis=-1)
-        pos >>= 1
-        l += 1
-    if l < n:
-        sumbuf[:, :, offs[l]:offs[l + 1]] = c
+def _compose(ptr, rows):
+    """Pointer after a fork: each new path reads what its parent row read."""
+    return rows if ptr is None else ptr[rows]
 
 
 # ---------------------------------------------------------------------------

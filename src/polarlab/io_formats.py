@@ -97,7 +97,7 @@ def save_mask(path: str, spec: CodeSpec, mask: FrozenMask,
     lines = [f"# {MASK_VERSION}", f"# n: {spec.n_bits}", f"# k: {spec.k_info}"]
     for key, value in (provenance or {}).items():
         lines.append(f"# {key}: {value}")
-    lines.append("".join("1" if b else "0" for b in mask.bits))
+    lines.append(_mask_string(mask))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -122,6 +122,11 @@ def load_mask(path: str) -> tuple[CodeSpec, FrozenMask]:
     lineno, row = rows[0]
     mask = _parse_mask_string(row.strip(), spec, path, lineno)
     return spec, mask
+
+
+def _mask_string(mask: FrozenMask) -> str:
+    """The 0/1 text form of a mask (1 = frozen) that every file stores."""
+    return (mask.bits + ord("0")).tobytes().decode("ascii")
 
 
 def _parse_mask_string(token, spec, path, lineno) -> FrozenMask:
@@ -185,8 +190,7 @@ def save_dataset(path: str, header: DatasetHeader,
     for rec in records:
         rec.mask.validate_for(spec)
         est = rec.fer_estimate
-        mask_str = "".join("1" if b else "0" for b in rec.mask.bits)
-        lines.append(f"{mask_str} {_fmt(est.fer)} {est.frames} "
+        lines.append(f"{_mask_string(rec.mask)} {_fmt(est.fer)} {est.frames} "
                      f"{est.frame_errors}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -384,7 +388,7 @@ def save_candidates(path: str, spec: CodeSpec, reports) -> None:
              "# columns: mask predicted_fer validated_fer frames "
              "frame_errors restart best_iteration"]
     for rep in reports:
-        mask_str = "".join("1" if b else "0" for b in rep.mask.bits)
+        mask_str = _mask_string(rep.mask)
         if rep.validated is None:
             val = "- - -"
         else:

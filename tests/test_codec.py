@@ -127,18 +127,33 @@ def test_scl1_equals_sc(node_mode, metric_mode):
                           sc_decode_batch(spec, mask, llrs, node_mode))
 
 
-def test_scl_full_list_exact_metric_is_ml():
-    """With list size 2^K and exact metrics/nodes SCL enumerates every
+@pytest.mark.parametrize("n,k,list_size,mask_seed", [
+    (8, 4, 16, None),  # the fixed [1,1,1,0,1,0,0,0] mask
+    (4, 2, 4, 1),
+    (8, 4, 16, 2),
+    (16, 6, 64, 3),
+    (16, 8, 256, 4),
+    # more slots than codewords: spare slots keep an inf metric while their
+    # (meaningless) state is re-pointed at every fork
+    (8, 3, 32, 5),
+], ids=lambda v: "fixed" if v is None else str(v))
+def test_scl_full_list_exact_metric_is_ml(n, k, list_size, mask_seed):
+    """With list size >= 2^K and exact metrics/nodes SCL enumerates every
     codeword, so it must agree with brute-force ML."""
-    spec = CodeSpec(8, 4)
-    mask = FrozenMask([1, 1, 1, 0, 1, 0, 0, 0])
-    cfg = DecoderConfig("scl", 16, "exact", "exact_f")
-    payloads = np.array(list(itertools.product([0, 1], repeat=4)),
+    spec = CodeSpec(n, k)
+    if mask_seed is None:
+        mask = FrozenMask([1, 1, 1, 0, 1, 0, 0, 0])
+    else:
+        bits = np.ones(n, dtype=np.uint8)
+        bits[np.random.default_rng(mask_seed).permutation(n)[:k]] = 0
+        mask = FrozenMask(bits)
+    cfg = DecoderConfig("scl", list_size, "exact", "exact_f")
+    payloads = np.array(list(itertools.product([0, 1], repeat=k)),
                         dtype=np.uint8)
-    books = encode(spec, mask, payloads)  # (16, 8)
+    books = encode(spec, mask, payloads)  # (2^K, N)
     signs = 1.0 - 2.0 * books
     rng = np.random.default_rng(17)
-    llrs = rng.normal(0.5, 2.0, (300, 8))
+    llrs = rng.normal(0.5, 2.0, (300, n))
     # ML maximizes sum llr * (1 - 2c); ties go to the lexicographically
     # first codeword, which SCL's stable pruning also prefers
     scores = llrs @ signs.T
