@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from polarlab.channel import ChannelConfig, MonteCarloConfig, estimate_fer
-from polarlab.codec import CodeSpec, DecoderConfig, FrozenMask, scl_decode_batch
+from polarlab.codec import (CodeSpec, DecoderConfig, FrozenMask,
+                            sc_decode_batch, scl_decode_batch)
 from polarlab.construction import build_mask, ga_reliabilities
 
 PAYLOAD_SHA256 = {
@@ -44,32 +45,91 @@ PAYLOAD_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("n,p,metric_mode,node_mode", sorted(PAYLOAD_SHA256))
-def test_scl_payload_digests(n, p, metric_mode, node_mode):
+SC_PAYLOAD_SHA256 = {
+    (64, "min_sum_f"): "a6e68c5114dba16f10654ca228c1c479dfbf7a4d6d1dec8cdb11373bb65f06f8",
+    (64, "exact_f"): "2223b53f8c1bd8cbda5d4cce3cb1c7c5f079eda325e6bc9f61708ca49a76d23b",
+    (256, "min_sum_f"): "c50c903230a364c760a7583a2a32494ea6266889bcc8e3a86719e0b836b019b8",
+    (256, "exact_f"): "d46aa376c222731b45891ec7577768aaa5c1d6717c130e056965d225579c3f1c",
+}
+
+# (B, N) error indicator of SC's genie_zero mode, N=256, min-sum f
+SC_GENIE_SHA256 = "e59dc81c893d01ca5d6a2cc8abdcbfe4fbf0e5796ced8c87e59683db93284184"
+
+# N=1: every decoder returns the hard decision llr < 0 (a tie at 0 is u=0)
+N1_SHA256 = "1dd446ba49213c82b5ba6c6577baff2124fd41841a5855db54f14b2846f8fc58"
+
+
+def _random_code(n):
     # a random (not GA) mask puts information bits all over the tree
     rng = np.random.default_rng(n)
     bits = np.zeros(n, dtype=np.uint8)
     bits[rng.permutation(n)[:n // 2]] = 1
     llrs = np.random.default_rng(1000 + n).normal(0.5, 1.5, (32, n))
+    return CodeSpec(n, n // 2), FrozenMask(bits), llrs
+
+
+def _digest(out):
+    return hashlib.sha256(out.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("n,p,metric_mode,node_mode", sorted(PAYLOAD_SHA256))
+def test_scl_payload_digests(n, p, metric_mode, node_mode):
+    spec, mask, llrs = _random_code(n)
     cfg = DecoderConfig("scl", p, metric_mode, node_mode)
-    out = scl_decode_batch(CodeSpec(n, n // 2), FrozenMask(bits), cfg, llrs)
+    out = scl_decode_batch(spec, mask, cfg, llrs)
     assert out.shape == (32, n // 2) and out.dtype == np.uint8
-    digest = hashlib.sha256(out.tobytes()).hexdigest()
-    assert digest == PAYLOAD_SHA256[(n, p, metric_mode, node_mode)]
+    assert _digest(out) == PAYLOAD_SHA256[(n, p, metric_mode, node_mode)]
 
 
-@pytest.mark.parametrize("n,k,list_size,ebn0_db,mc,expected", [
+@pytest.mark.parametrize("n,node_mode", sorted(SC_PAYLOAD_SHA256))
+def test_sc_payload_digests(n, node_mode):
+    spec, mask, llrs = _random_code(n)
+    out = sc_decode_batch(spec, mask, llrs, node_mode)
+    assert out.shape == (32, n // 2) and out.dtype == np.uint8
+    assert _digest(out) == SC_PAYLOAD_SHA256[(n, node_mode)]
+
+
+def test_sc_genie_zero_digest():
+    spec, mask, llrs = _random_code(256)
+    out = sc_decode_batch(spec, mask, llrs, genie_zero=True)
+    assert out.shape == (32, 256) and out.dtype == np.uint8
+    assert _digest(out) == SC_GENIE_SHA256
+
+
+@pytest.mark.parametrize("decode", [
+    lambda m, x: sc_decode_batch(CodeSpec(1, 1), m, x),
+    lambda m, x: sc_decode_batch(CodeSpec(1, 1), m, x, genie_zero=True),
+    lambda m, x: scl_decode_batch(CodeSpec(1, 1), m, DecoderConfig("scl", 1), x),
+    lambda m, x: scl_decode_batch(
+        CodeSpec(1, 1), m, DecoderConfig("scl", 4, "exact", "exact_f"), x),
+], ids=["sc", "sc-genie", "scl1", "scl4-exact"])
+def test_n1_digests(decode):
+    llrs = np.random.default_rng(1001).normal(0.5, 1.5, (32, 1))
+    llrs[::5] = 0.0
+    out = decode(FrozenMask([0]), llrs)
+    assert out.shape == (32, 1) and out.dtype == np.uint8
+    assert _digest(out) == N1_SHA256
+
+
+def _config_id(config):
+    return "sc" if config.algorithm == "sc" else str(config.list_size)
+
+
+@pytest.mark.parametrize("n,k,config,ebn0_db,mc,expected", [
     # early-stopped: three rounds, overshooting the 50-error target
-    (64, 32, 4, 3.5, MonteCarloConfig(seed=7, target_frame_errors=50),
+    (64, 32, DecoderConfig("scl", 4), 3.5, MonteCarloConfig(seed=7, target_frame_errors=50),
      (0.005940755208333333, 12288, 73)),
     # paper-recipe decoder on a fixed frame budget
-    (256, 128, 32, 1.5,
+    (256, 128, DecoderConfig("scl", 32), 1.5,
      MonteCarloConfig(seed=7, target_frame_errors=10**6, max_frames=1024),
      (0.0791015625, 1024, 81)),
-])
-def test_estimate_fer_pins(n, k, list_size, ebn0_db, mc, expected):
+    # SC, early-stopped after one round
+    (256, 128, DecoderConfig("sc"), 2.5,
+     MonteCarloConfig(seed=7, target_frame_errors=50),
+     (0.04833984375, 4096, 198)),
+], ids=lambda v: _config_id(v) if isinstance(v, DecoderConfig) else None)
+def test_estimate_fer_pins(n, k, config, ebn0_db, mc, expected):
     spec = CodeSpec(n, k)
     mask = build_mask(spec, ga_reliabilities(spec, 3.2))
-    est = estimate_fer(spec, mask, DecoderConfig("scl", list_size),
-                       ChannelConfig(ebn0_db, spec.rate), mc)
+    est = estimate_fer(spec, mask, config, ChannelConfig(ebn0_db, spec.rate), mc)
     assert (est.fer, est.frames, est.frame_errors) == expected
