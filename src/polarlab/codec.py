@@ -3,9 +3,13 @@
 Everything works in natural bit order (no bit-reversal permutation); the
 frozen mask uses the same order. Decoders are batched over frames: the
 single-frame entry points wrap the batch kernels with a leading axis of 1.
-Both decoders keep one LLR and one partial-sum array per tree level; SCL
-adds a path axis and, per level, a path-pointer array, so a fork re-points
-paths (Tal & Vardy's lazy copy) and a level is gathered only when read.
+Both decoders keep one LLR and one partial-sum array per tree level, and
+the channel LLRs are level n, the top of the tree. Each f/g result and each
+folded partial-sum block is bound to its level as a new array rather than
+copied into a preallocated one. SCL adds a path axis and, per level, a
+path-pointer array, so a fork re-points paths (Tal & Vardy's lazy copy) and
+a level is gathered only when read. SC keeps its own loop as the reference
+that SCL with list size 1 is tested against.
 """
 
 from dataclasses import dataclass, field
@@ -160,7 +164,7 @@ def encode(spec: CodeSpec, mask: FrozenMask, payload: np.ndarray) -> np.ndarray:
 
 
 def _f_min_sum(a, b):
-    return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+    return np.copysign(np.minimum(np.abs(a), np.abs(b)), a * b)
 
 
 def _f_exact(a, b):
@@ -173,6 +177,17 @@ def _g(a, b, u):
 
 
 _F_FUNCS = {"min_sum_f": _f_min_sum, "exact_f": _f_exact}
+
+
+def _checked_llrs(spec: CodeSpec, llrs: np.ndarray) -> np.ndarray:
+    """The LLR batch as a float64 (B, N) array; rejects any other shape."""
+    llrs = np.asarray(llrs, dtype=np.float64)
+    if llrs.ndim != 2 or llrs.shape[1] != spec.n_bits:
+        raise InvalidArgument(
+            f"LLRs must have shape (B, {spec.n_bits}), got {llrs.shape}")
+    if not np.all(np.isfinite(llrs)):
+        raise InvalidArgument("LLRs must be finite")
+    return llrs
 
 
 # ---------------------------------------------------------------------------
@@ -194,35 +209,27 @@ def sc_decode_batch(
     indicator instead of the payload.
     """
     mask.validate_for(spec)
-    llrs = np.asarray(llrs, dtype=np.float64)
+    llrs = _checked_llrs(spec, llrs)
     B, N = llrs.shape
-    if N != spec.n_bits:
-        raise InvalidArgument(f"LLR length {N} != N {spec.n_bits}")
-    if not np.all(np.isfinite(llrs)):
-        raise InvalidArgument("LLRs must be finite")
-    if N == 1:
-        hard = (llrs[:, 0] < 0).astype(np.uint8)
-        return hard[:, None]
     f_func = _F_FUNCS[node_mode]
     n = spec.stages
-    # per-level active blocks: llr_lvl[l] is (B, 2**l); level n is the channel
-    llr_lvl = [np.empty((B, 1 << l)) for l in range(n)]
-    sums = [np.zeros((B, 1 << l), dtype=np.uint8) for l in range(n)]
+    # per-level active blocks: llr_lvl[l] and sums[l] are (B, 2**l); level n
+    # is the channel
+    llr_lvl = [None] * n + [llrs]
+    sums = [None] * n
     u_hat = np.empty((B, N), dtype=np.uint8)
     errs = np.zeros((B, N), dtype=np.uint8) if genie_zero else None
     frozen = mask.bits
 
     for i in range(N):
-        if i == 0:
-            top = n
-        else:
-            t = (i & -i).bit_length() - 1  # trailing zeros
-            a, b = _parent_halves(llrs, llr_lvl, t, i, n)
-            llr_lvl[t][:] = _g(a, b, sums[t])
-            top = t
+        top = n
+        if i:
+            top = (i & -i).bit_length() - 1  # trailing zeros
+            a, b = _parent_halves(llr_lvl, top)
+            llr_lvl[top] = _g(a, b, sums[top])
         for l in range(top - 1, -1, -1):
-            a, b = _parent_halves(llrs, llr_lvl, l, i, n)
-            llr_lvl[l][:] = f_func(a, b)
+            a, b = _parent_halves(llr_lvl, l)
+            llr_lvl[l] = f_func(a, b)
         leaf = llr_lvl[0][:, 0]
         if genie_zero:
             errs[:, i] = leaf < 0
@@ -239,14 +246,10 @@ def sc_decode_batch(
     return u_hat[:, mask.info_positions()]
 
 
-def _parent_halves(chan, llr_lvl, l, i, n):
+def _parent_halves(llr_lvl, l):
     """Halves of the level-(l+1) block feeding the level-l computation."""
     h = 1 << l
-    if l + 1 == n:
-        base = (i >> (l + 1)) << (l + 1)
-        blk = chan[..., base:base + 2 * h]
-    else:
-        blk = llr_lvl[l + 1]
+    blk = llr_lvl[l + 1]
     return blk[..., :h], blk[..., h:]
 
 
@@ -259,7 +262,7 @@ def _propagate_sums(sums, u, i, n):
         pos >>= 1
         l += 1
     if l < n:
-        sums[l][:] = c
+        sums[l] = c
 
 
 def genie_leaf_llrs(spec: CodeSpec, llrs: np.ndarray,
@@ -300,29 +303,25 @@ def scl_decode_batch(
     deterministic.
     """
     mask.validate_for(spec)
-    llrs = np.asarray(llrs, dtype=np.float64)
+    llrs = _checked_llrs(spec, llrs)
     B, N = llrs.shape
-    if N != spec.n_bits:
-        raise InvalidArgument(f"LLR length {N} != N {spec.n_bits}")
-    if not np.all(np.isfinite(llrs)):
-        raise InvalidArgument("LLRs must be finite")
-    if N == 1:
-        return (llrs < 0).astype(np.uint8)
     P = config.list_size
     f_func = _F_FUNCS[config.node_mode]
-    exact_metric = config.metric_mode == "exact"
+    penalty = np.logaddexp if config.metric_mode == "exact" else np.maximum
     n = spec.stages
     frozen = mask.bits
 
     # per-level path state as in SC plus a path axis: llr_lvl[l] and sums[l]
-    # are (B, P, 2**l). A fork copies none of it but re-points it:
-    # ptr[l][b*P + p] is the flat row holding path p's block (None: b*P + p).
-    # A read gathers the level and resets its pointer; no fork re-points a
-    # level between its last read and its next write, so writes, which cover
-    # every path, always land on identity pointers
-    llr_lvl = [np.zeros((B, P, 1 << l)) for l in range(n)]
-    sums = [np.zeros((B, P, 1 << l), dtype=np.uint8) for l in range(n)]
-    llr_ptr = [None] * (n + 1)  # level n is the channel, shared by all paths
+    # are (B, P, 2**l), or (B, 1, 2**l) for the channel and the levels
+    # computed from it alone, one block that every path holds. A fork copies
+    # none of it but re-points it: ptr[l][b*P + p] is the flat row holding
+    # path p's block (None: b*P + p). A read gathers the level and resets its
+    # pointer. No fork re-points a level between its last read and its next
+    # write, so a write, which binds a new array holding every path in order,
+    # always replaces a level whose pointer is already the identity
+    llr_lvl = [None] * n + [llrs[:, None]]
+    sums = [None] * n
+    llr_ptr = [None] * (n + 1)
     sum_ptr = [None] * n
     metrics = np.full((B, P), np.inf)
     metrics[:, 0] = 0.0
@@ -333,47 +332,36 @@ def scl_decode_batch(
     fork_bits: list[np.ndarray] = []
 
     def read(bufs, ptr, l):
-        if ptr[l] is not None:
+        # a (B, 1, .) level is one block that every path holds: no gather
+        if ptr[l] is not None and bufs[l].shape[1] > 1:
             flat = bufs[l].reshape(B * P, -1)
             bufs[l] = np.take(flat, ptr[l], axis=0).reshape(bufs[l].shape)
-            ptr[l] = None
-
-    chan = llrs[:, None, :]  # broadcast over paths
+        ptr[l] = None
 
     for i in range(N):
-        if i == 0:
-            top = n
-        else:
-            t = (i & -i).bit_length() - 1
-            read(llr_lvl, llr_ptr, t + 1)
-            read(sums, sum_ptr, t)
-            a, b = _parent_halves(chan, llr_lvl, t, i, n)
-            llr_lvl[t][:] = _g(a, b, sums[t])
-            top = t
+        top = n
+        if i:
+            top = (i & -i).bit_length() - 1
+            read(llr_lvl, llr_ptr, top + 1)
+            read(sums, sum_ptr, top)
+            a, b = _parent_halves(llr_lvl, top)
+            llr_lvl[top] = _g(a, b, sums[top])
         for l in range(top - 1, -1, -1):
             read(llr_lvl, llr_ptr, l + 1)
-            a, b = _parent_halves(chan, llr_lvl, l, i, n)
-            llr_lvl[l][:] = f_func(a, b)
-        leaf = llr_lvl[0][:, :, 0]  # (B, P)
+            a, b = _parent_halves(llr_lvl, l)
+            llr_lvl[l] = f_func(a, b)
+        leaf = llr_lvl[0][:, :, 0]  # (B, P) or (B, 1)
 
+        pen0 = penalty(0.0, -leaf)
         if frozen[i]:
-            if exact_metric:
-                metrics = metrics + np.logaddexp(0.0, -leaf)
-            else:
-                metrics = metrics + np.maximum(0.0, -leaf)
+            metrics = metrics + pen0
             u = np.zeros((B, P), dtype=np.uint8)
         else:
-            if exact_metric:
-                pen0 = np.logaddexp(0.0, -leaf)
-                pen1 = np.logaddexp(0.0, leaf)
-            else:
-                pen0 = np.maximum(0.0, -leaf)
-                pen1 = np.maximum(0.0, leaf)
             # candidate index = 2*parent + u so the stable sort breaks
             # metric ties by fork index
             cand = np.empty((B, 2 * P))
             cand[:, 0::2] = metrics + pen0
-            cand[:, 1::2] = metrics + pen1
+            cand[:, 1::2] = metrics + penalty(0.0, leaf)
             order = np.argsort(cand, axis=1, kind="stable")[:, :P]
             parent = order >> 1
             u = (order & 1).astype(np.uint8)

@@ -209,11 +209,13 @@ def test_decode_batch_dispatch_and_wrappers():
 def test_decoders_reject_nonfinite_llrs():
     spec = CodeSpec(4, 2)
     mask = FrozenMask([1, 1, 0, 0])
-    bad = np.array([[1.0, np.inf, 0.0, -1.0]])
-    with pytest.raises(InvalidArgument):
-        sc_decode_batch(spec, mask, bad)
-    with pytest.raises(InvalidArgument):
-        scl_decode_batch(spec, mask, DecoderConfig("scl", 2), bad)
+    # non-finite values, and a 1-D array where a (B, N) batch is expected
+    for bad in (np.array([[1.0, np.inf, 0.0, -1.0]]),
+                np.array([1.0, 2.0, 0.0, -1.0])):
+        with pytest.raises(InvalidArgument):
+            sc_decode_batch(spec, mask, bad)
+        with pytest.raises(InvalidArgument):
+            scl_decode_batch(spec, mask, DecoderConfig("scl", 2), bad)
 
 
 @settings(max_examples=25, deadline=None)
