@@ -8,7 +8,8 @@ from polarlab.channel import FerEstimate
 from polarlab.codec import FrozenMask
 from polarlab.construction import DatasetRecord
 from polarlab.errors import InvalidArgument
-from polarlab.surrogate import (MlpConfig, TrainConfig, backward,
+from polarlab.surrogate import (MlpConfig, TrainConfig, _backward_cached,
+                                _forward_cached, backward,
                                 constant_predictor_ioe, evaluate_ioe,
                                 fit_standardizer, forward, init_params,
                                 output_and_input_gradient, train)
@@ -101,17 +102,32 @@ def test_forward_shortcut_changes_output():
 # ---------------------------------------------------------------------------
 # gradients
 
+def _loss_and_grads(cfg, params, x, target, training):
+    if not training:
+        loss, grads, _ = backward(cfg, params, x, target)
+        return loss, grads
+    # batch-statistics BatchNorm, the forward/backward pair train() runs
+    y, cache = _forward_cached(cfg, params, x, training=True)
+    resid = y - target
+    dW, db, dgamma, dbeta, _ = _backward_cached(cfg, params, cache,
+                                                2.0 * resid / resid.size)
+    return float(np.mean(resid ** 2)), dW + db + dgamma + dbeta
+
+
 def _fd_check(cfg, batchnorm, seed, rel_tol=1e-6):
+    """batchnorm: False, True (running statistics) or "train" (batch
+    statistics, as during training)."""
+    training = batchnorm == "train"
     rng = np.random.default_rng(seed)
     d = int(rng.integers(3, 9))
-    params = init_params(cfg, d, rng, batchnorm=batchnorm)
+    params = init_params(cfg, d, rng, batchnorm=bool(batchnorm))
     for b in params.biases:
         # keep preactivations away from the ReLU kink, where the loss is
         # not differentiable and central differences see a half-slope
         b += rng.normal(0, 0.1, b.shape)
     x = rng.normal(0, 1, (7, d))
     target = rng.normal(0, 1, 7)
-    _, grads, _ = backward(cfg, params, x, target)
+    _, grads = _loss_and_grads(cfg, params, x, target, training)
     tensors = params.trainables()
     eps = 1e-6
     worst = 0.0
@@ -121,13 +137,19 @@ def _fd_check(cfg, batchnorm, seed, rel_tol=1e-6):
                               replace=False):
             orig = flat[idx]
             flat[idx] = orig + eps
-            hi, _, _ = backward(cfg, params, x, target)
+            hi, _ = _loss_and_grads(cfg, params, x, target, training)
             flat[idx] = orig - eps
-            lo, _, _ = backward(cfg, params, x, target)
+            lo, _ = _loss_and_grads(cfg, params, x, target, training)
             flat[idx] = orig
             fd = (hi - lo) / (2 * eps)
-            denom = max(abs(fd), abs(g.reshape(-1)[idx]), 1e-8)
-            worst = max(worst, abs(fd - g.reshape(-1)[idx]) / denom)
+            gi = g.reshape(-1)[idx]
+            if training and abs(gi) < 1e-8:
+                # a bias feeding a batch-statistics BatchNorm has a zero
+                # gradient, so both sides are rounding noise (~1e-10):
+                # compare them absolutely
+                assert abs(fd - gi) < 1e-8, (fd, gi)
+            else:
+                worst = max(worst, abs(fd - gi) / max(abs(fd), abs(gi), 1e-8))
     assert worst < rel_tol, worst
 
 
@@ -138,6 +160,8 @@ def _fd_check(cfg, batchnorm, seed, rel_tol=1e-6):
     (MlpConfig(6, 10, 3), False),
     (MlpConfig(6, 10, 3), True),
     (MlpConfig(5, 7, 2), False),
+    (MlpConfig(3, 6, 2), "train"),
+    (MlpConfig(6, 10, 3), "train"),
 ])
 def test_parameter_gradients_match_finite_differences(cfg, batchnorm):
     _fd_check(cfg, batchnorm, seed=cfg.depth_l * 100 + cfg.hidden_h)
