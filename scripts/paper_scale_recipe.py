@@ -4,9 +4,10 @@
 This is the published-scale counterpart of the desk-scale acceptance run.
 It simulates on the order of 1e5 shuffled constructions under SCL-32 with
 FERs reaching the 1e-4 decade, trains a (L=5, H=320, G=3) surrogate, and
-mines masks with 64 PGD restarts. Expect several CPU-days end to end —
-run it detached and keep the output directory; every stage is resumable
-from its artifact.
+mines masks with 64 PGD restarts. The README's "Reproducing
+published-scale results" section projects its cost from the measured
+SCL-32 frame rate: CPU-years end to end. Run it detached and keep the
+output directory; every stage is resumable from its artifact.
 
     python3 scripts/paper_scale_recipe.py --workers 16 --out-dir runs/large
 
