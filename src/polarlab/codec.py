@@ -180,7 +180,7 @@ _F_FUNCS = {"min_sum_f": _f_min_sum, "exact_f": _f_exact}
 
 
 def _checked_llrs(spec: CodeSpec, llrs: np.ndarray) -> np.ndarray:
-    """The LLR batch as a float64 (B, N) array; rejects any other shape."""
+    """The LLRs as a float64 (B, N) array, checked for shape and finiteness."""
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.ndim != 2 or llrs.shape[1] != spec.n_bits:
         raise InvalidArgument(
@@ -213,8 +213,7 @@ def sc_decode_batch(
     B, N = llrs.shape
     f_func = _F_FUNCS[node_mode]
     n = spec.stages
-    # per-level active blocks: llr_lvl[l] and sums[l] are (B, 2**l); level n
-    # is the channel
+    # per-level active blocks, (B, 2**l) at level l; level n is the channel
     llr_lvl = [None] * n + [llrs]
     sums = [None] * n
     u_hat = np.empty((B, N), dtype=np.uint8)
@@ -272,7 +271,7 @@ def genie_leaf_llrs(spec: CodeSpec, llrs: np.ndarray,
     One-pass recursion usable for genie-aided per-bit error statistics
     under an all-zero codeword: leaf i erred iff result[:, i] < 0.
     """
-    llrs = np.asarray(llrs, dtype=np.float64)
+    llrs = _checked_llrs(spec, llrs)
     f_func = _F_FUNCS[node_mode]
     out = llrs
     m = spec.n_bits

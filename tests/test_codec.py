@@ -216,6 +216,10 @@ def test_decoders_reject_nonfinite_llrs():
             sc_decode_batch(spec, mask, bad)
         with pytest.raises(InvalidArgument):
             scl_decode_batch(spec, mask, DecoderConfig("scl", 2), bad)
+        with pytest.raises(InvalidArgument):
+            genie_leaf_llrs(spec, bad)
+    with pytest.raises(InvalidArgument):  # 8 LLRs per frame for N=4
+        genie_leaf_llrs(spec, np.ones((2, 8)))
 
 
 @settings(max_examples=25, deadline=None)
