@@ -2,10 +2,13 @@
 
 Everything is line-oriented UTF-8 text. Floats are written with 17
 significant digits so doubles round-trip exactly; identical in-memory
-objects always serialize to byte-identical files. Loaders validate and
-reject rather than repair.
+objects always serialize to byte-identical files. Every writer replaces
+its file atomically, so an interrupted save leaves the previous file.
+Loaders validate and reject rather than repair.
 """
 
+import os
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +35,23 @@ MODEL_VERSION = "polarlab-model v1"
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write text to a temporary file beside path, flush it to disk and
+    rename it over path, so readers see the old file or the new one."""
+    # open(..., "x") rather than mkstemp, which would create the file 0600
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _parse_float(token: str, path: str, lineno: int) -> float:
@@ -98,8 +118,7 @@ def save_mask(path: str, spec: CodeSpec, mask: FrozenMask,
     for key, value in (provenance or {}).items():
         lines.append(f"# {key}: {value}")
     lines.append(_mask_string(mask))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_mask(path: str) -> tuple[CodeSpec, FrozenMask]:
@@ -192,8 +211,7 @@ def save_dataset(path: str, header: DatasetHeader,
         est = rec.fer_estimate
         lines.append(f"{_mask_string(rec.mask)} {_fmt(est.fer)} {est.frames} "
                      f"{est.frame_errors}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_dataset(path: str) -> tuple[DatasetHeader, list[DatasetRecord]]:
@@ -274,8 +292,7 @@ def save_model(path: str, params: MlpParams, standardizer: Standardizer,
             _write_vector(lines, f"bn_beta{i}", params.bn_beta[i])
             _write_vector(lines, f"bn_mean{i}", params.bn_mean[i])
             _write_vector(lines, f"bn_var{i}", params.bn_var[i])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 class _ModelReader:
@@ -396,8 +413,7 @@ def save_candidates(path: str, spec: CodeSpec, reports) -> None:
             val = f"{_fmt(est.fer)} {est.frames} {est.frame_errors}"
         lines.append(f"{mask_str} {_fmt(rep.predicted_fer)} {val} "
                      f"{rep.restart_index} {rep.best_iteration}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +431,12 @@ def emit_fer_curve(points: list[tuple[float, FerEstimate]],
         raise InvalidArgument("emit_fer_curve needs at least one point")
     csv_path = path_prefix + ".csv"
     svg_path = path_prefix + ".svg"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("ebn0_db,fer,ci_halfwidth,frames\n")
-        for ebn0, est in points:
-            fh.write(f"{_fmt(ebn0)},{_fmt(est.fer)},{_fmt(est.ci_halfwidth)},"
-                     f"{est.frames}\n")
+    rows = ["ebn0_db,fer,ci_halfwidth,frames\n"]
+    rows += [f"{_fmt(ebn0)},{_fmt(est.fer)},{_fmt(est.ci_halfwidth)},"
+             f"{est.frames}\n" for ebn0, est in points]
+    _write_atomic(csv_path, "".join(rows))
     curve = [(ebn0, est.fer) for ebn0, est in points]
-    with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(render_fer_svg({label: curve}))
+    _write_atomic(svg_path, render_fer_svg({label: curve}))
     return csv_path, svg_path
 
 

@@ -6,6 +6,11 @@ rank projection that keeps the frozen-bit count exact, evaluates the
 surrogate at the quantized point, and applies that point's input gradient
 to the relaxed vector. Constant coordinates are re-attached from the base
 mask before any candidate leaves this module.
+
+All restarts run as the rows of one relaxed matrix, so each iteration is
+one rank projection and one surrogate forward/backward over every row. A
+row whose surrogate output or gradient turns non-finite aborts only its
+own restart; the matrix keeps its shape until the run ends.
 """
 
 import logging
@@ -52,15 +57,17 @@ class CandidateReport:
 
 
 def quantize(relaxed: np.ndarray, frozen_quota: int) -> np.ndarray:
-    """Rank projection: the frozen_quota largest values become +1 (frozen),
-    the rest -1; ties keep the lower index. Equals the median rule when the
-    quota is half the length."""
+    """Rank projection along the last axis: in each row the frozen_quota
+    largest values become +1 (frozen), the rest -1; ties keep the lower
+    index. Equals the median rule when the quota is half the length."""
     relaxed = np.asarray(relaxed, dtype=np.float64)
-    if frozen_quota > relaxed.size:
-        raise InvalidArgument("frozen_quota exceeds vector length")
-    out = np.full(relaxed.size, -1.0)
-    top = np.argsort(-relaxed, kind="stable")[:frozen_quota]
-    out[top] = 1.0
+    if not 0 <= frozen_quota <= relaxed.shape[-1]:
+        raise InvalidArgument(
+            f"frozen_quota must be in [0, {relaxed.shape[-1]}], "
+            f"got {frozen_quota}")
+    out = np.full(relaxed.shape, -1.0)
+    top = np.argsort(-relaxed, axis=-1, kind="stable")[..., :frozen_quota]
+    np.put_along_axis(out, top, 1.0, axis=-1)
     return out
 
 
@@ -69,6 +76,67 @@ def _attach_constant(base_mask: FrozenMask, kept: np.ndarray,
     bits = base_mask.bits.copy()
     bits[kept] = (signed > 0).astype(np.uint8)
     return FrozenMask(bits)
+
+
+def _pgd_restarts(params: MlpParams, standardizer: Standardizer,
+                  config: PgdConfig, base_mask: FrozenMask,
+                  restart_indices) -> list[CandidateReport | NumericError]:
+    """Run the given restarts as the rows of one relaxed matrix.
+
+    Returns, per restart, its CandidateReport or the NumericError that
+    aborted it. An aborted row keeps its place in the matrix, so a live
+    row's arithmetic never depends on which rows died; evaluation mode
+    keeps the surrogate's rows independent.
+    """
+    kept = standardizer.kept_indices
+    quota = int(base_mask.bits[kept].sum())
+    rows = len(restart_indices)
+    relaxed = np.full((rows, kept.size), -1.0)
+    for row, j in zip(relaxed, restart_indices):
+        rng = np.random.default_rng([config.seed, j])
+        row[rng.permutation(kept.size)[:quota]] = 1.0
+
+    best_pred = np.full(rows, np.inf)
+    best_q = np.empty_like(relaxed)
+    best_iter = np.full(rows, -1)
+    died_at = np.full(rows, -1)
+
+    def evaluate(q, iteration):
+        y, g_std = output_and_input_gradient(
+            params.config, params, standardizer.transform_signed(q))
+        finite = np.isfinite(y) & np.all(np.isfinite(g_std), axis=1)
+        died_at[(died_at < 0) & ~finite] = iteration
+        pred = np.exp(standardizer.inverse_log_fer(y))
+        better = (died_at < 0) & (pred < best_pred)
+        best_pred[better] = pred[better]
+        best_q[better] = q[better]
+        best_iter[better] = iteration
+        # chain the standardized-space gradient back to the signed domain
+        return g_std / standardizer.in_std
+
+    for it in range(config.iterations_i):
+        q = quantize(relaxed, quota)
+        grad = evaluate(q, it)
+        if np.all(died_at >= 0):
+            break
+        relaxed = relaxed - config.step_mu * grad
+    else:
+        evaluate(quantize(relaxed, quota), config.iterations_i)
+
+    results = []
+    for r, j in enumerate(restart_indices):
+        if died_at[r] >= 0:
+            results.append(NumericError(
+                f"non-finite surrogate output/gradient at iteration "
+                f"{died_at[r]} of restart {j}"))
+        elif best_iter[r] < 0:
+            results.append(NumericError(
+                f"no finite predicted FER in restart {j}"))
+        else:
+            results.append(CandidateReport(
+                _attach_constant(base_mask, kept, best_q[r]),
+                float(best_pred[r]), None, j, int(best_iter[r])))
+    return results
 
 
 def pgd_run(
@@ -80,38 +148,11 @@ def pgd_run(
 ) -> CandidateReport:
     """One restart of Algorithm-style PGD; returns the best quantized mask
     (tracked over every iteration, not just the last)."""
-    kept = standardizer.kept_indices
-    quota = int(base_mask.bits[kept].sum())
-    rng = np.random.default_rng([config.seed, restart_index])
-    relaxed = np.full(kept.size, -1.0)
-    relaxed[rng.permutation(kept.size)[:quota]] = 1.0
-
-    best_pred = np.inf
-    best_q = None
-    best_iter = -1
-
-    def evaluate(q, iteration):
-        nonlocal best_pred, best_q, best_iter
-        y, g_std = output_and_input_gradient(
-            params.config, params, standardizer.transform_signed(q))
-        if not (np.isfinite(y) and np.all(np.isfinite(g_std))):
-            raise NumericError(
-                f"non-finite surrogate output/gradient at iteration "
-                f"{iteration} of restart {restart_index}")
-        pred = float(np.exp(standardizer.inverse_log_fer(y)))
-        if pred < best_pred:
-            best_pred, best_q, best_iter = pred, q, iteration
-        # chain the standardized-space gradient back to the signed domain
-        return g_std / standardizer.in_std
-
-    for it in range(config.iterations_i):
-        q = quantize(relaxed, quota)
-        grad = evaluate(q, it)
-        relaxed = relaxed - config.step_mu * grad
-    evaluate(quantize(relaxed, quota), config.iterations_i)
-
-    return CandidateReport(_attach_constant(base_mask, kept, best_q),
-                           best_pred, None, restart_index, best_iter)
+    [result] = _pgd_restarts(params, standardizer, config, base_mask,
+                             [restart_index])
+    if isinstance(result, NumericError):
+        raise result
+    return result
 
 
 def search_and_validate(
@@ -127,18 +168,19 @@ def search_and_validate(
 ) -> list[CandidateReport]:
     """Run all restarts, dedupe, validate the top_k best-predicted masks by
     Monte Carlo, and rank: validated candidates by measured FER first."""
+    results = _pgd_restarts(params, standardizer, config, base_mask,
+                            range(config.restarts))
     reports = []
-    for j in range(config.restarts):
-        try:
-            reports.append(pgd_run(params, standardizer, config, base_mask,
-                                   restart_index=j))
-        except NumericError as exc:
-            log.warning("restart %d aborted: %s", j, exc)
+    for j, result in enumerate(results):
+        if isinstance(result, NumericError):
+            log.warning("restart %d aborted: %s", j, result)
+        else:
+            reports.append(result)
         if progress is not None:
             progress(j + 1, config.restarts)
 
     unique: dict[bytes, CandidateReport] = {}
-    for rep in sorted(reports, key=lambda r: r.restart_index):
+    for rep in reports:
         unique.setdefault(rep.mask.bits.tobytes(), rep)
     ranked = sorted(unique.values(),
                     key=lambda r: (r.predicted_fer, r.restart_index))

@@ -1,6 +1,8 @@
 """io_formats tests: byte-identical round trips and strict rejection of
 malformed files."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -237,3 +239,50 @@ def test_multi_curve_svg_has_one_polyline_per_curve():
     svg = iof.render_fer_svg(curves)
     assert svg.count("<polyline") == 2
     assert "a</text>" in svg and "b</text>" in svg
+
+
+# ---------------------------------------------------------------------------
+# write safety
+
+def _save_small_model(path):
+    params = init_params(MlpConfig(2, 3, 1), 4, np.random.default_rng(4))
+    std = Standardizer(np.arange(4), np.zeros(4), np.ones(4), 0.0, 1.0)
+    iof.save_model(path, params, std)
+
+
+_WRITERS = {
+    "mask": (lambda p: iof.save_mask(
+        p, CodeSpec(4, 3), FrozenMask(np.array([1, 0, 0, 0], np.uint8))),
+        "x.txt"),
+    "dataset": (lambda p: iof.save_dataset(p, _header(), []), "x.txt"),
+    "model": (_save_small_model, "x.txt"),
+    "candidates": (lambda p: iof.save_candidates(p, CodeSpec(4, 3), []),
+                   "x.txt"),
+    "fer_curve_csv": (lambda p: iof.emit_fer_curve(_points(), p[:-4]),
+                      "x.csv"),
+    "fer_curve_svg": (lambda p: iof.emit_fer_curve(_points(), p[:-4]),
+                      "x.svg"),
+}
+
+
+@pytest.mark.parametrize("writer", list(_WRITERS))
+def test_failed_save_keeps_previous_file(tmp_path, monkeypatch, writer):
+    save, name = _WRITERS[writer]
+    target = tmp_path / name
+    target.write_text("previous\n")
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if dst == str(target):
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="disk full"):
+        save(str(target))
+    assert target.read_text() == "previous\n"
+    assert not list(tmp_path.glob("*.tmp"))
+    monkeypatch.undo()
+    save(str(target))
+    assert target.read_text() != "previous\n"
+    assert not list(tmp_path.glob("*.tmp"))
