@@ -102,8 +102,7 @@ def main() -> int:
         decoder, ch,
         MonteCarloConfig(args.seed, 2 * TARGET_ERRORS, 10 * MAX_FRAMES,
                          args.workers),
-        build_mask(spec, order),
-        progress=lambda d, t: print(f"  restart {d}/{t}", flush=True))
+        build_mask(spec, order))
     io_formats.save_candidates(cand_path, spec, reports)
     best = reports[0]
     if best.validated is not None:

@@ -9,7 +9,7 @@ search guided by the surrogate.
 from .channel import (ChannelConfig, FerEstimate, MonteCarloConfig,
                       estimate_fer, transmit)
 from .codec import (CodeSpec, DecoderConfig, FrozenMask, decode_batch,
-                    encode, polar_transform, sc_decode, scl_decode)
+                    encode, polar_transform)
 from .construction import (DatasetRecord, ReliabilityOrder, ShuffleConfig,
                            build_mask, ga_reliabilities, generate_dataset,
                            select_shuffle_range)
@@ -27,7 +27,7 @@ __all__ = [
     "ChannelConfig", "FerEstimate", "MonteCarloConfig", "estimate_fer",
     "transmit",
     "CodeSpec", "DecoderConfig", "FrozenMask", "decode_batch", "encode",
-    "polar_transform", "sc_decode", "scl_decode",
+    "polar_transform",
     "DatasetRecord", "ReliabilityOrder", "ShuffleConfig", "build_mask",
     "ga_reliabilities", "generate_dataset", "select_shuffle_range",
     "PolarLabError", "InvalidArgument", "InvalidState", "NumericError",

@@ -127,7 +127,6 @@ def estimate_fer(
     decoder: DecoderConfig,
     channel: ChannelConfig,
     mc: MonteCarloConfig,
-    progress=None,
 ) -> FerEstimate:
     """Monte Carlo FER with early stopping at mc.target_frame_errors.
 
@@ -158,8 +157,6 @@ def estimate_fer(
             for b, err in zip(batches, results):
                 frames += batch_size(b)
                 errors += err
-            if progress is not None:
-                progress(frames, errors)
             if errors >= mc.target_frame_errors:
                 break
     finally:

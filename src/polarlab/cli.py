@@ -16,8 +16,6 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import channel, construction, io_formats, search, surrogate
 from .channel import ChannelConfig, MonteCarloConfig
 from .codec import CodeSpec, DecoderConfig
@@ -111,8 +109,7 @@ def _write_manifest(out_path: str, command: str, resolved: dict) -> None:
     lines = [f"command: {command}"]
     for key in sorted(resolved):
         lines.append(f"{key}: {resolved[key]}")
-    with open(out_path + ".manifest", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    io_formats.write_atomic(out_path + ".manifest", "\n".join(lines) + "\n")
 
 
 def _parse_ebn0_list(token: str) -> list[float]:
@@ -260,21 +257,14 @@ def cmd_search(args, opts):
     spec = header.spec
     order = construction.ga_reliabilities(spec, header.design_ebn0_db)
     base_mask = construction.build_mask(spec, order)
-    decoder = DecoderConfig("sc" if header.list_size == 1 else "scl",
-                            header.list_size, r["metric"], r["node"])
+    decoder = _decoder_from(r | {"list_size": header.list_size})
     cfg = search.PgdConfig(r["iters"], r["mu"], r["restarts"], r["seed"],
                            r["topk"])
     mc = MonteCarloConfig(r["seed"], r["target_errors"], r["max_frames"],
                           r["threads"])
-
-    def progress(done, total):
-        if done % 8 == 0 or done == total:
-            print(f"  finished restart {done}/{total}")
-
     reports = search.search_and_validate(
         params, standardizer, cfg, spec, decoder,
-        ChannelConfig(header.ebn0_db, spec.rate), mc, base_mask,
-        progress=progress)
+        ChannelConfig(header.ebn0_db, spec.rate), mc, base_mask)
     io_formats.save_candidates(r["out"], spec, reports)
     _write_manifest(r["out"], "search", r)
     best_data = min((rec.fer_estimate.fer for rec in records), default=None)
@@ -296,28 +286,8 @@ def cmd_plot(args, opts):
             label, path = spec_token.split("=", 1)
         else:
             label, path = os.path.basename(spec_token), spec_token
-        try:
-            with open(path, encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
-            raise SchemaError(f"cannot read {path}: {exc}") from exc
-        if not lines or lines[0] != "ebn0_db,fer,ci_halfwidth,frames":
-            raise SchemaError(f"{path}:1: not a polarlab FER CSV")
-        pts = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            cols = line.split(",")
-            if len(cols) != 4:
-                raise SchemaError(f"{path}:{lineno}: expected 4 columns")
-            try:
-                pts.append((float(cols[0]), float(cols[1])))
-            except ValueError:
-                raise SchemaError(
-                    f"{path}:{lineno}: malformed number") from None
-        curves[label] = pts
-    with open(r["out"], "w", encoding="utf-8") as fh:
-        fh.write(io_formats.render_fer_svg(curves))
+        curves[label] = io_formats.load_fer_curve(path)
+    io_formats.write_atomic(r["out"], io_formats.render_fer_svg(curves))
     _write_manifest(r["out"], "plot", r | {"curve": list(args.curve)})
     print(f"wrote {r['out']}")
     return 0

@@ -1,8 +1,8 @@
 """Polar encoding and SC/SCL decoding over LLRs.
 
 Everything works in natural bit order (no bit-reversal permutation); the
-frozen mask uses the same order. Decoders are batched over frames: the
-single-frame entry points wrap the batch kernels with a leading axis of 1.
+frozen mask uses the same order. Decoders are batched over frames; a single
+frame is a (1, N) batch.
 Both decoders keep one LLR and one partial-sum array per tree level, and
 the channel LLRs are level n, the top of the tree. Each f/g result and each
 folded partial-sum block is bound to its level as a new array rather than
@@ -12,7 +12,7 @@ a level is gathered only when read. SC keeps its own loop as the reference
 that SCL with list size 1 is tested against.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,11 +22,8 @@ __all__ = [
     "CodeSpec",
     "FrozenMask",
     "DecoderConfig",
-    "LlrFrame",
     "encode",
     "polar_transform",
-    "sc_decode",
-    "scl_decode",
     "sc_decode_batch",
     "scl_decode_batch",
     "genie_leaf_llrs",
@@ -108,22 +105,12 @@ class DecoderConfig:
             raise InvalidArgument(f"unknown algorithm {self.algorithm!r}")
         if self.list_size < 1:
             raise InvalidArgument("list_size must be >= 1")
+        if self.algorithm == "sc" and self.list_size != 1:
+            raise InvalidArgument("algorithm 'sc' needs list_size 1")
         if self.metric_mode not in ("exact", "approximate"):
             raise InvalidArgument(f"unknown metric_mode {self.metric_mode!r}")
         if self.node_mode not in ("exact_f", "min_sum_f"):
             raise InvalidArgument(f"unknown node_mode {self.node_mode!r}")
-
-
-@dataclass
-class LlrFrame:
-    """Channel LLRs for one frame; positive means bit 0 is more likely."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(self.values)):
-            raise InvalidArgument("LLRs must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -264,22 +251,21 @@ def _propagate_sums(sums, u, i, n):
         sums[l] = c
 
 
-def genie_leaf_llrs(spec: CodeSpec, llrs: np.ndarray,
-                    node_mode: str = "exact_f") -> np.ndarray:
+def genie_leaf_llrs(spec: CodeSpec, llrs: np.ndarray) -> np.ndarray:
     """All N leaf LLRs assuming every earlier bit is known to be 0.
 
-    One-pass recursion usable for genie-aided per-bit error statistics
-    under an all-zero codeword: leaf i erred iff result[:, i] < 0.
+    One-pass recursion with the exact (boxplus) f, usable for genie-aided
+    per-bit error statistics under an all-zero codeword: leaf i erred iff
+    result[:, i] < 0.
     """
     llrs = _checked_llrs(spec, llrs)
-    f_func = _F_FUNCS[node_mode]
     out = llrs
     m = spec.n_bits
     while m > 1:
         h = m // 2
         v = out.reshape(out.shape[0], -1, m)
         a, b = v[:, :, :h], v[:, :, h:]
-        out = np.concatenate([f_func(a, b), a + b],
+        out = np.concatenate([_f_exact(a, b), a + b],
                              axis=2).reshape(out.shape[0], -1)
         m = h
     return out
@@ -398,24 +384,6 @@ def scl_decode_batch(
 def _compose(ptr, rows):
     """Pointer after a fork: each new path reads what its parent row read."""
     return rows if ptr is None else ptr[rows]
-
-
-# ---------------------------------------------------------------------------
-# single-frame wrappers
-
-
-def sc_decode(spec: CodeSpec, mask: FrozenMask, llrs: LlrFrame,
-              node_mode: str = "min_sum_f") -> np.ndarray:
-    """Decode one frame with SC; returns the K information-bit decisions."""
-    return sc_decode_batch(spec, mask, llrs.values[None, :], node_mode)[0]
-
-
-def scl_decode(spec: CodeSpec, mask: FrozenMask, config: DecoderConfig,
-               llrs: LlrFrame) -> np.ndarray:
-    """Decode one frame with SCL; returns the best path's payload."""
-    if config.algorithm != "scl":
-        raise InvalidArgument("scl_decode requires algorithm='scl'")
-    return scl_decode_batch(spec, mask, config, llrs.values[None, :])[0]
 
 
 def decode_batch(spec: CodeSpec, mask: FrozenMask, config: DecoderConfig,

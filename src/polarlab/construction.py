@@ -33,6 +33,9 @@ log = logging.getLogger(__name__)
 # above; recorded in dataset headers for auditability
 PHI_COEFFS = {"a": -0.4527, "b": 0.86, "c": 0.0218, "split": 10.0}
 
+# largest pilot max/min FER ratio select_shuffle_range accepts for a window
+PILOT_RATIO_TARGET = 10.0
+
 
 @dataclass
 class ReliabilityOrder:
@@ -173,8 +176,8 @@ def generate_dataset(
             est = estimate_fer(spec, mask, decoder, channel, per_record)
         except PolarLabError as exc:
             log.warning("skipping mask %d: simulation failed (%s)", i, exc)
-            continue
-        records.append(DatasetRecord(mask, est))
+        else:
+            records.append(DatasetRecord(mask, est))
         if progress is not None:
             progress(i + 1, len(unique))
     return records
@@ -189,9 +192,9 @@ def select_shuffle_range(
     candidate_rs: list[int],
     seed: int = 0,
     max_frames: int = 200_000,
-    ratio_target: float = 10.0,
 ) -> int:
-    """Largest candidate r whose pilot max/min FER ratio stays <= target.
+    """Largest candidate r whose pilot max/min FER ratio stays <=
+    PILOT_RATIO_TARGET.
 
     Pilots run at reduced precision (30 frame errors). Falls back to the
     smallest candidate when every ratio overshoots.
@@ -216,12 +219,12 @@ def select_shuffle_range(
         if not fers:
             continue
         any_pilot = True
-        if min(fers) > 0 and max(fers) / min(fers) <= ratio_target:
+        if min(fers) > 0 and max(fers) / min(fers) <= PILOT_RATIO_TARGET:
             best = r
     if not any_pilot:
         raise InvalidState("every pilot simulation failed")
     if best is None:
         best = candidate_rs[0]
         log.warning("no candidate met ratio <= %g; falling back to r=%d",
-                    ratio_target, best)
+                    PILOT_RATIO_TARGET, best)
     return best

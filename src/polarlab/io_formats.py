@@ -25,19 +25,21 @@ __all__ = [
     "save_dataset", "load_dataset",
     "save_model", "load_model",
     "save_candidates",
-    "emit_fer_curve", "render_fer_svg",
+    "emit_fer_curve", "load_fer_curve", "render_fer_svg",
+    "write_atomic",
 ]
 
 MASK_VERSION = "polarlab-mask v1"
 DATASET_VERSION = "polarlab-dataset v1"
 MODEL_VERSION = "polarlab-model v1"
+FER_CSV_HEADER = "ebn0_db,fer,ci_halfwidth,frames"
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_atomic(path: str, text: str) -> None:
+def write_atomic(path: str, text: str) -> None:
     """Write text to a temporary file beside path, flush it to disk and
     rename it over path, so readers see the old file or the new one."""
     # open(..., "x") rather than mkstemp, which would create the file 0600
@@ -118,7 +120,7 @@ def save_mask(path: str, spec: CodeSpec, mask: FrozenMask,
     for key, value in (provenance or {}).items():
         lines.append(f"# {key}: {value}")
     lines.append(_mask_string(mask))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_mask(path: str) -> tuple[CodeSpec, FrozenMask]:
@@ -211,7 +213,7 @@ def save_dataset(path: str, header: DatasetHeader,
         est = rec.fer_estimate
         lines.append(f"{_mask_string(rec.mask)} {_fmt(est.fer)} {est.frames} "
                      f"{est.frame_errors}")
-    _write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_dataset(path: str) -> tuple[DatasetHeader, list[DatasetRecord]]:
@@ -292,7 +294,7 @@ def save_model(path: str, params: MlpParams, standardizer: Standardizer,
             _write_vector(lines, f"bn_beta{i}", params.bn_beta[i])
             _write_vector(lines, f"bn_mean{i}", params.bn_mean[i])
             _write_vector(lines, f"bn_var{i}", params.bn_var[i])
-    _write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 class _ModelReader:
@@ -334,11 +336,8 @@ class _ModelReader:
 
 def load_model(path: str) -> tuple[MlpParams, Standardizer]:
     lines = _read_lines(path)
-    if not lines or lines[0] != f"# {MODEL_VERSION}":
-        got = lines[0] if lines else "<empty file>"
-        raise SchemaError(f"{path}:1: expected '# {MODEL_VERSION}', "
-                          f"got {got!r}")
-    reader = _ModelReader(path, lines, 1)
+    _, body = _header_fields(lines, path, MODEL_VERSION)
+    reader = _ModelReader(path, lines, body)
     cfg_vals = {}
     for key in ("depth_l", "hidden_h", "shortcut_g", "batchnorm"):
         lineno, rest = reader.take(key)
@@ -413,7 +412,7 @@ def save_candidates(path: str, spec: CodeSpec, reports) -> None:
             val = f"{_fmt(est.fer)} {est.frames} {est.frame_errors}"
         lines.append(f"{mask_str} {_fmt(rep.predicted_fer)} {val} "
                      f"{rep.restart_index} {rep.best_iteration}")
-    _write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +430,30 @@ def emit_fer_curve(points: list[tuple[float, FerEstimate]],
         raise InvalidArgument("emit_fer_curve needs at least one point")
     csv_path = path_prefix + ".csv"
     svg_path = path_prefix + ".svg"
-    rows = ["ebn0_db,fer,ci_halfwidth,frames\n"]
+    rows = [FER_CSV_HEADER + "\n"]
     rows += [f"{_fmt(ebn0)},{_fmt(est.fer)},{_fmt(est.ci_halfwidth)},"
              f"{est.frames}\n" for ebn0, est in points]
-    _write_atomic(csv_path, "".join(rows))
+    write_atomic(csv_path, "".join(rows))
     curve = [(ebn0, est.fer) for ebn0, est in points]
-    _write_atomic(svg_path, render_fer_svg({label: curve}))
+    write_atomic(svg_path, render_fer_svg({label: curve}))
     return csv_path, svg_path
+
+
+def load_fer_curve(path: str) -> list[tuple[float, float]]:
+    """The (ebn0_db, fer) points of a CSV written by emit_fer_curve."""
+    lines = _read_lines(path)
+    if not lines or lines[0] != FER_CSV_HEADER:
+        raise SchemaError(f"{path}:1: not a polarlab FER CSV")
+    points = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cols = line.split(",")
+        if len(cols) != 4:
+            raise SchemaError(f"{path}:{lineno}: expected 4 columns")
+        points.append((_parse_float(cols[0], path, lineno),
+                       _parse_float(cols[1], path, lineno)))
+    return points
 
 
 def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:

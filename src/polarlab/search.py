@@ -164,7 +164,6 @@ def search_and_validate(
     channel: ChannelConfig,
     mc: MonteCarloConfig,
     base_mask: FrozenMask,
-    progress=None,
 ) -> list[CandidateReport]:
     """Run all restarts, dedupe, validate the top_k best-predicted masks by
     Monte Carlo, and rank: validated candidates by measured FER first."""
@@ -176,8 +175,6 @@ def search_and_validate(
             log.warning("restart %d aborted: %s", j, result)
         else:
             reports.append(result)
-        if progress is not None:
-            progress(j + 1, config.restarts)
 
     unique: dict[bytes, CandidateReport] = {}
     for rep in reports:

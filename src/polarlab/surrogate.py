@@ -13,11 +13,10 @@ exact reverse-mode, including the additive skip branches.
 """
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import FerEstimate
 from .errors import InvalidArgument, NumericError
 
 __all__ = [
@@ -37,6 +36,8 @@ __all__ = [
 ]
 
 _BN_EPS = 1e-5
+_BN_MOMENTUM = 0.9  # running-statistics decay per training batch
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -130,9 +131,6 @@ class TrainConfig:
     epochs: int
     batch_size: int = 64
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     dropout_p: float = 0.0
     batchnorm: bool = False
@@ -202,7 +200,7 @@ def init_params(config: MlpConfig, input_dim: int,
 
 
 def _forward_cached(config, params, x, training=False, dropout_p=0.0,
-                    rng=None, bn_momentum=0.9):
+                    rng=None):
     """Forward pass keeping every intermediate needed for backprop."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     L = config.depth_l
@@ -210,7 +208,7 @@ def _forward_cached(config, params, x, training=False, dropout_p=0.0,
         raise InvalidArgument(
             f"input dim {x.shape[1]} != {params.weights[0].shape[0]}")
     drop = training and dropout_p > 0.0
-    cache = {"zs": [], "bn": [], "drop_masks": [None] * (L + 1), "x_raw": x}
+    cache = {"zs": [], "bn": [], "drop_masks": [None] * (L + 1)}
     acts = [x]
     if drop:
         m0 = rng.random(x.shape) >= dropout_p
@@ -223,10 +221,10 @@ def _forward_cached(config, params, x, training=False, dropout_p=0.0,
             if training:
                 mu = z.mean(axis=0)
                 var = z.var(axis=0)
-                params.bn_mean[l][:] = bn_momentum * params.bn_mean[l] \
-                    + (1 - bn_momentum) * mu
-                params.bn_var[l][:] = bn_momentum * params.bn_var[l] \
-                    + (1 - bn_momentum) * var
+                params.bn_mean[l][:] = _BN_MOMENTUM * params.bn_mean[l] \
+                    + (1 - _BN_MOMENTUM) * mu
+                params.bn_var[l][:] = _BN_MOMENTUM * params.bn_var[l] \
+                    + (1 - _BN_MOMENTUM) * var
             else:
                 mu, var = params.bn_mean[l], params.bn_var[l]
             inv_std = 1.0 / np.sqrt(var + _BN_EPS)
@@ -350,23 +348,23 @@ def constant_predictor_ioe(records) -> IoeReport:
 
 
 class _Adam:
-    def __init__(self, tensors, tc: TrainConfig):
+    def __init__(self, tensors, learning_rate: float):
         self.m = [np.zeros_like(t) for t in tensors]
         self.v = [np.zeros_like(t) for t in tensors]
         self.t = 0
-        self.tc = tc
+        self.learning_rate = learning_rate
 
     def step(self, tensors, grads):
-        tc = self.tc
         self.t += 1
-        bias1 = 1.0 - tc.beta1 ** self.t
-        bias2 = 1.0 - tc.beta2 ** self.t
+        bias1 = 1.0 - _ADAM_BETA1 ** self.t
+        bias2 = 1.0 - _ADAM_BETA2 ** self.t
         for p, g, m, v in zip(tensors, grads, self.m, self.v):
-            m *= tc.beta1
-            m += (1 - tc.beta1) * g
-            v *= tc.beta2
-            v += (1 - tc.beta2) * g * g
-            p -= tc.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + tc.eps)
+            m *= _ADAM_BETA1
+            m += (1 - _ADAM_BETA1) * g
+            v *= _ADAM_BETA2
+            v += (1 - _ADAM_BETA2) * g * g
+            p -= self.learning_rate * (m / bias1) \
+                / (np.sqrt(v / bias2) + _ADAM_EPS)
 
 
 def train(records, split_fraction: float, config: MlpConfig,
@@ -395,7 +393,7 @@ def train(records, split_fraction: float, config: MlpConfig,
         np.log([r.fer_estimate.fer for r in train_recs]))
 
     params = init_params(config, X.shape[1], rng, batchnorm=tc.batchnorm)
-    opt = _Adam(params.trainables(), tc)
+    opt = _Adam(params.trainables(), tc.learning_rate)
     best_params, best_report = None, None
 
     for _ in range(tc.epochs):

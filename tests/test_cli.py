@@ -129,6 +129,32 @@ def test_plot_combines_csvs(tmp_path, mask_file):
     assert run("plot", str(tmp_path / "missing.csv"), "--out", out) == 3
 
 
+@pytest.mark.parametrize("suffix", ["", ".manifest"])
+def test_plot_failed_write_keeps_previous_file(tmp_path, mask_file,
+                                               monkeypatch, suffix):
+    """The SVG and its manifest are replaced atomically: when the rename
+    fails the previous file stays and no temporary is left behind."""
+    prefix = str(tmp_path / "a")
+    assert run("simulate", "--mask", mask_file, "--ebn0", "2.0",
+               "--list-size", "1", "--target-errors", "5",
+               "--max-frames", "5000", "--out", prefix) == 0
+    out = str(tmp_path / "combined.svg")
+    target = tmp_path / ("combined.svg" + suffix)
+    target.write_text("previous\n")
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if dst == str(target):
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="disk full"):
+        run("plot", f"{prefix}.csv", "--out", out)
+    assert target.read_text() == "previous\n"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_config_file_and_flag_precedence(tmp_path, mask_file):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("ebn0 = 2.5\nseed = 7\nlist-size = 2\n"

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarlab.codec import (CodeSpec, DecoderConfig, FrozenMask, LlrFrame,
+from polarlab.codec import (CodeSpec, DecoderConfig, FrozenMask,
                             decode_batch, encode, genie_leaf_llrs,
-                            polar_transform, sc_decode, sc_decode_batch,
-                            scl_decode, scl_decode_batch)
+                            polar_transform, sc_decode_batch,
+                            scl_decode_batch)
 from polarlab.errors import InvalidArgument
 
 
@@ -55,6 +55,11 @@ def test_codespec_validation():
         CodeSpec(1, 0)
     assert CodeSpec(1, 1).rate == 1.0  # uncoded bypass
     assert CodeSpec(256, 128).stages == 8
+    with pytest.raises(InvalidArgument):  # SC has no list
+        DecoderConfig("sc", 4, "exact")
+    with pytest.raises(InvalidArgument):
+        DecoderConfig("scl", 0)
+    assert DecoderConfig("sc").list_size == 1
 
 
 def test_encode_n2_exhaustive():
@@ -93,11 +98,11 @@ def test_sc_hand_trace_n2():
     # leaf 1 then sees g(-1, 3, 0) = 2 > 0 -> payload bit 0
     spec = CodeSpec(2, 1)
     mask = FrozenMask([1, 0])
-    out = sc_decode(spec, mask, LlrFrame(np.array([-1.0, 3.0])))
-    assert np.array_equal(out, [0])
+    out = sc_decode_batch(spec, mask, np.array([[-1.0, 3.0]]))
+    assert np.array_equal(out, [[0]])
     # flip: g(-1, 3, 0) still positive, but stronger negative channel 1
-    out = sc_decode(spec, mask, LlrFrame(np.array([1.0, -3.0])))
-    assert np.array_equal(out, [1])
+    out = sc_decode_batch(spec, mask, np.array([[1.0, -3.0]]))
+    assert np.array_equal(out, [[1]])
 
 
 @pytest.mark.parametrize("node_mode", ["min_sum_f", "exact_f"])
@@ -190,20 +195,17 @@ def test_genie_leaf_llrs_matches_sc_genie_mode():
     assert np.array_equal(fast.astype(np.uint8), slow)
 
 
-def test_decode_batch_dispatch_and_wrappers():
+def test_decode_batch_dispatch():
     spec = CodeSpec(8, 4)
     mask = FrozenMask([1, 1, 1, 0, 1, 0, 0, 0])
     rng = np.random.default_rng(2)
     llrs = rng.normal(1, 1, (10, 8))
-    sc_cfg = DecoderConfig("sc")
+    sc_cfg = DecoderConfig("sc", node_mode="exact_f")
     assert np.array_equal(decode_batch(spec, mask, sc_cfg, llrs),
-                          sc_decode_batch(spec, mask, llrs))
+                          sc_decode_batch(spec, mask, llrs, "exact_f"))
     scl_cfg = DecoderConfig("scl", 4)
-    single = scl_decode(spec, mask, scl_cfg, LlrFrame(llrs[0]))
-    assert np.array_equal(single,
-                          scl_decode_batch(spec, mask, scl_cfg, llrs)[0])
-    with pytest.raises(InvalidArgument):
-        scl_decode(spec, mask, sc_cfg, LlrFrame(llrs[0]))
+    assert np.array_equal(decode_batch(spec, mask, scl_cfg, llrs),
+                          scl_decode_batch(spec, mask, scl_cfg, llrs))
 
 
 def test_decoders_reject_nonfinite_llrs():

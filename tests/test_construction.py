@@ -1,18 +1,21 @@
 """GA construction tests: phi inverse consistency, recursion oracles,
 domination ordering, mask building, and shuffled dataset generation."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polarlab import construction
 from polarlab.channel import ChannelConfig, MonteCarloConfig
 from polarlab.codec import CodeSpec, DecoderConfig
 from polarlab.construction import (PHI_COEFFS, ReliabilityOrder,
                                    ShuffleConfig, _inv_log_phi, _log_phi,
                                    build_mask, ga_reliabilities,
                                    generate_dataset, select_shuffle_range)
-from polarlab.errors import InvalidArgument
+from polarlab.errors import InvalidArgument, NumericError
 
 
 def test_phi_coefficients_and_continuity():
@@ -137,6 +140,35 @@ def test_generate_dataset_unique_and_reproducible():
     assert len(seen) == len(a)  # masks deduplicated before simulation
     assert all(x.fer_estimate == y.fer_estimate for x, y in zip(a, b))
     assert all(np.array_equal(x.mask.bits, y.mask.bits) for x, y in zip(a, b))
+
+
+def test_generate_dataset_reports_progress_for_skipped_masks(
+        monkeypatch, caplog):
+    """progress(i + 1, U) fires for every unique mask, a skipped one too,
+    so a run whose last mask fails still reports U of U."""
+    spec = CodeSpec(16, 8)
+    order = ga_reliabilities(spec, 2.0)
+    shuffle = ShuffleConfig(2, 3, seed=3)
+    real_estimate = construction.estimate_fer
+    calls = []
+
+    def estimate(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise NumericError("injected failure")
+        return real_estimate(*args)
+
+    monkeypatch.setattr(construction, "estimate_fer", estimate)
+    seen = []
+    with caplog.at_level(logging.WARNING, logger="polarlab.construction"):
+        records = generate_dataset(
+            spec, order, shuffle, DecoderConfig("sc"), ChannelConfig(1.0, 0.5),
+            MonteCarloConfig(0, 5, 5000),
+            progress=lambda done, total: seen.append((done, total)))
+    assert len(calls) == 3  # three unique masks for this seed
+    assert seen == [(1, 3), (2, 3), (3, 3)]
+    assert len(records) == 2
+    assert "skipping mask 2" in caplog.text
 
 
 def test_select_shuffle_range_prefers_largest_within_ratio():

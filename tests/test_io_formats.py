@@ -211,6 +211,21 @@ def test_fer_curve_csv_round_trip(tmp_path):
         assert int(cols[3]) == est.frames
 
 
+def test_fer_curve_load_round_trip_and_rejects_bad_rows(tmp_path):
+    pts = _points()
+    csv_path, _ = iof.emit_fer_curve(pts, str(tmp_path / "curve"))
+    assert iof.load_fer_curve(csv_path) == [(e, est.fer) for e, est in pts]
+    lines = (tmp_path / "curve.csv").read_text().splitlines()
+    for bad_row in ("1.0,abc,0.1,100", "1.0,0.5,0.1"):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines[:3] + [bad_row]) + "\n")
+        with pytest.raises(SchemaError, match=r"bad\.csv:4"):
+            iof.load_fer_curve(str(bad))
+    (tmp_path / "other.csv").write_text("x,y\n1,2\n")
+    with pytest.raises(SchemaError, match="not a polarlab FER CSV"):
+        iof.load_fer_curve(str(tmp_path / "other.csv"))
+
+
 def test_fer_curve_svg_content(tmp_path):
     _, svg_path = iof.emit_fer_curve(_points(), str(tmp_path / "c"), "SCL-4")
     svg = (tmp_path / "c.svg").read_text()

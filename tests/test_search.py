@@ -184,21 +184,6 @@ def test_search_and_validate_orders_and_dedupes():
         assert rep.mask.frozen_count == 8
 
 
-def test_search_progress_callback():
-    n = 8
-    params = _linear_surrogate(np.linspace(-1, 1, n))
-    std = _identity_standardizer(np.arange(n), n)
-    base = FrozenMask(np.array([1] * 4 + [0] * 4, dtype=np.uint8))
-    seen = []
-    search_and_validate(params, std,
-                        PgdConfig(iterations_i=5, restarts=3, top_k=1),
-                        CodeSpec(8, 4), DecoderConfig("sc"),
-                        ChannelConfig(1.0, 0.5),
-                        MonteCarloConfig(0, 2, 2000), base,
-                        progress=lambda d, t: seen.append((d, t)))
-    assert seen == [(1, 3), (2, 3), (3, 3)]
-
-
 def test_pgd_overflowing_predictions_abort_the_restart(caplog):
     """A restart whose every predicted FER overflows exp() has no best
     mask: it aborts with NumericError instead of crashing the search."""
