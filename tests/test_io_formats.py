@@ -1,6 +1,7 @@
 """io_formats tests: byte-identical round trips and strict rejection of
 malformed files."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -11,11 +12,11 @@ from polarlab.channel import FerEstimate
 from polarlab.codec import CodeSpec, FrozenMask
 from polarlab.construction import DatasetRecord, build_mask, ga_reliabilities
 from polarlab.errors import InvalidArgument, SchemaError
+from polarlab.search import CandidateReport
 from polarlab.surrogate import MlpConfig, Standardizer, forward, init_params
 
 
-@pytest.fixture
-def random_records():
+def _records():
     rng = np.random.default_rng(0)
     recs = []
     for _ in range(40):
@@ -27,6 +28,11 @@ def random_records():
                                   FerEstimate.from_counts(errors, frames,
                                                           2.5)))
     return recs
+
+
+@pytest.fixture
+def random_records():
+    return _records()
 
 
 # ---------------------------------------------------------------------------
@@ -301,3 +307,78 @@ def test_failed_save_keeps_previous_file(tmp_path, monkeypatch, writer):
     save(str(target))
     assert target.read_text() != "previous\n"
     assert not list(tmp_path.glob("*.tmp"))
+
+
+# ---------------------------------------------------------------------------
+# writer digests: the exact bytes each writer produces from fixed inputs
+
+def _fixed_mask(n=64, k=32, seed=5):
+    bits = np.zeros(n, dtype=np.uint8)
+    bits[np.random.default_rng(seed).permutation(n)[:n - k]] = 1
+    return FrozenMask(bits)
+
+
+def _fixed_model(path, batchnorm):
+    rng = np.random.default_rng(1)
+    params = init_params(MlpConfig(3, 16, 2), 10, rng, batchnorm=batchnorm)
+    std = Standardizer(np.sort(rng.permutation(64)[:10]),
+                       rng.normal(0, 1, 10),
+                       np.abs(rng.normal(1, 0.1, 10)) + 0.1, -3.0, 1.2)
+    iof.save_model(path, params, std,
+                   {"epochs": 100, "learning_rate": 0.001, "batchnorm":
+                    batchnorm, "dataset": "runs/desk/dataset.txt"})
+
+
+def _fixed_candidates(path):
+    reports = [
+        CandidateReport(_fixed_mask(seed=6), 1.2345678901234567e-3,
+                        FerEstimate.from_counts(37, 41_000, 2.5), 3, 17),
+        CandidateReport(_fixed_mask(seed=7), 2.5e-3, None, 0, 4999),
+    ]
+    iof.save_candidates(path, CodeSpec(64, 32), reports)
+
+
+_DIGEST_WRITERS = {
+    "mask": (lambda p: iof.save_mask(
+        p, CodeSpec(64, 32), _fixed_mask(),
+        {"design_ebn0_db": 3.2, "method": "ga", "ratio": 0.1 + 0.2}),
+        "x.txt"),
+    "dataset": (lambda p: iof.save_dataset(
+        p, iof.DatasetHeader(64, 32, "scl", 4, 3.2, 0.1 + 0.2, 7, 620, 5),
+        _records()), "x.txt"),
+    "model": (lambda p: _fixed_model(p, False), "x.txt"),
+    "model_batchnorm": (lambda p: _fixed_model(p, True), "x.txt"),
+    "candidates": (_fixed_candidates, "x.txt"),
+    "fer_curve_csv": (lambda p: iof.emit_fer_curve(_points(), p[:-4],
+                                                   "(64,32) SCL-4"), "x.csv"),
+    "fer_curve_svg": (lambda p: iof.emit_fer_curve(_points(), p[:-4],
+                                                   "(64,32) SCL-4"), "x.svg"),
+}
+
+_WRITER_SHA256 = {
+    "mask":
+        "6f133f95b6b1b023a0675b15c3ab0790990995320c7bf3ddaa865062e963f528",
+    "dataset":
+        "15410d2614b6fe48992993e1c616921d49a3dd62da7a8fec53b40f3695fcb77d",
+    "model":
+        "cbf09a258be297c370f33863de75ca12c78f36c0af255e6e99680c88e0a88ebc",
+    "model_batchnorm":
+        "1fdc9492513b8ff5c21ff83ed90022d05132a9691a3466a7cf0321c2a19862e8",
+    "candidates":
+        "9be133da9877ebe96300dcd9bc75bb023b6cb5d53269ae8e2dba407ed48c2696",
+    "fer_curve_csv":
+        "1209e0d32c44d1251bd1c95c795312231bb5243fae3386bd98fb49ebba1145f6",
+    "fer_curve_svg":
+        "2e43eb0dd4c3003ba4fa53459804fe68e068483f359a73ed64c616e07966c35c",
+}
+
+
+@pytest.mark.parametrize("writer", list(_DIGEST_WRITERS))
+def test_writer_bytes_are_pinned(tmp_path, writer):
+    """Every format is pinned to the byte: a refactor of a writer must
+    reproduce these digests exactly."""
+    save, name = _DIGEST_WRITERS[writer]
+    target = tmp_path / name
+    save(str(target))
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == _WRITER_SHA256[writer]
