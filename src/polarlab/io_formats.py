@@ -9,12 +9,12 @@ Loaders validate and reject rather than repair.
 
 import os
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
 from .channel import FerEstimate
-from .codec import CodeSpec, FrozenMask
+from .codec import CodeSpec, DecoderConfig, FrozenMask
 from .construction import PHI_COEFFS, DatasetRecord
 from .errors import InvalidArgument, SchemaError
 from .surrogate import MlpConfig, MlpParams, Standardizer
@@ -56,19 +56,32 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _parse_float(token: str, path: str, lineno: int) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise SchemaError(f"{path}:{lineno}: not a number: {token!r}") from None
+def _write_lines(path: str, lines) -> None:
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _parse_int(token: str, path: str, lineno: int) -> int:
+def _header_lines(version: str, items) -> list[str]:
+    return [f"# {version}"] + [f"# {key}: {value}" for key, value in items]
+
+
+_TYPE_NAMES = {int: "an integer", float: "a number"}
+
+
+def _parse(type_, token: str, path: str, lineno: int):
+    """token as int, float or str; a bad token is reported at lineno."""
     try:
-        return int(token)
+        return type_(token)
     except ValueError:
-        raise SchemaError(
-            f"{path}:{lineno}: not an integer: {token!r}") from None
+        raise SchemaError(f"{path}:{lineno}: not {_TYPE_NAMES[type_]}: "
+                          f"{token!r}") from None
+
+
+def _build(path: str, what: str, make, *args):
+    """make(*args), with an InvalidArgument turned into a SchemaError."""
+    try:
+        return make(*args)
+    except InvalidArgument as exc:
+        raise SchemaError(f"{path}: invalid {what}: {exc}") from exc
 
 
 def _read_lines(path: str) -> list[str]:
@@ -79,35 +92,49 @@ def _read_lines(path: str) -> list[str]:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 
-def _header_fields(lines, path, version):
-    """Parse leading '# key: value' lines; line 1 must name the version."""
+def _body_rows(lines, start: int) -> list[tuple[int, str]]:
+    """(line number, stripped text) of every non-blank, non-comment line
+    from index start on."""
+    return [(i, ln.strip()) for i, ln in enumerate(lines[start:], start + 1)
+            if ln.strip() and not ln.startswith("#")]
+
+
+def _read_artifact(path: str, version: str):
+    """Read a file whose line 1 names version; return its leading
+    '# key: value' lines as {key: (value, line number)} and its body rows."""
+    lines = _read_lines(path)
     if not lines or lines[0] != f"# {version}":
         got = lines[0] if lines else "<empty file>"
         raise SchemaError(f"{path}:1: expected '# {version}', got {got!r}")
-    fields: dict[str, str] = {}
-    body_start = 1
+    fields: dict[str, tuple[str, int]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.startswith("#"):
-            body_start = lineno - 1
             break
-        body_start = lineno
         text = line[1:].strip()
         if not text:
             continue
         if ":" not in text:
             raise SchemaError(f"{path}:{lineno}: malformed header line {line!r}")
         key, value = text.split(":", 1)
-        fields[key.strip()] = value.strip()
-    return fields, body_start
+        fields[key.strip()] = (value.strip(), lineno)
+    return fields, _body_rows(lines, 1)
 
 
-def _require(fields, keys, path):
-    missing = [k for k in keys if k not in fields]
-    if missing:
-        raise SchemaError(f"{path}: missing header fields {missing}")
-    unknown = [k for k in fields if k not in keys]
-    if unknown:
-        raise SchemaError(f"{path}: unknown header fields {unknown}")
+def _field(fields, key: str, type_, path: str):
+    """The header value under key as type_, citing its own line."""
+    if key not in fields:
+        raise SchemaError(f"{path}: missing header field {key!r}")
+    value, lineno = fields[key]
+    return _parse(type_, value, path, lineno)
+
+
+def _spec_items(spec: CodeSpec):
+    return [("n", spec.n_bits), ("k", spec.k_info)]
+
+
+def _spec_from(fields, path: str) -> CodeSpec:
+    return _build(path, "code spec", CodeSpec, _field(fields, "n", int, path),
+                  _field(fields, "k", int, path))
 
 
 # ---------------------------------------------------------------------------
@@ -116,33 +143,19 @@ def _require(fields, keys, path):
 def save_mask(path: str, spec: CodeSpec, mask: FrozenMask,
               provenance: dict | None = None) -> None:
     mask.validate_for(spec)
-    lines = [f"# {MASK_VERSION}", f"# n: {spec.n_bits}", f"# k: {spec.k_info}"]
-    for key, value in (provenance or {}).items():
-        lines.append(f"# {key}: {value}")
-    lines.append(_mask_string(mask))
-    write_atomic(path, "\n".join(lines) + "\n")
+    items = _spec_items(spec) + list((provenance or {}).items())
+    _write_lines(path, _header_lines(MASK_VERSION, items)
+                 + [_mask_string(mask)])
 
 
 def load_mask(path: str) -> tuple[CodeSpec, FrozenMask]:
-    lines = _read_lines(path)
-    fields, body = _header_fields(lines, path, MASK_VERSION)
-    for key in ("n", "k"):
-        if key not in fields:
-            raise SchemaError(f"{path}: missing header field {key!r}")
-    n = _parse_int(fields["n"], path, 2)
-    k = _parse_int(fields["k"], path, 3)
-    try:
-        spec = CodeSpec(n, k)
-    except InvalidArgument as exc:
-        raise SchemaError(f"{path}: invalid code spec: {exc}") from exc
-    rows = [(i, ln) for i, ln in enumerate(lines[body:], start=body + 1)
-            if ln.strip()]
+    fields, rows = _read_artifact(path, MASK_VERSION)
+    spec = _spec_from(fields, path)
     if len(rows) != 1:
         raise SchemaError(f"{path}: expected exactly one mask row, "
                           f"got {len(rows)}")
     lineno, row = rows[0]
-    mask = _parse_mask_string(row.strip(), spec, path, lineno)
-    return spec, mask
+    return spec, _parse_mask_string(row, spec, path, lineno)
 
 
 def _mask_string(mask: FrozenMask) -> str:
@@ -162,12 +175,29 @@ def _parse_mask_string(token, spec, path, lineno) -> FrozenMask:
     return FrozenMask(bits)
 
 
+def _fer_string(est: FerEstimate) -> str:
+    """The 'fer frames frame_errors' columns of a dataset or candidate row."""
+    return f"{_fmt(est.fer)} {est.frames} {est.frame_errors}"
+
+
+def _parse_fer_tokens(tokens, ebn0_db, path, lineno) -> FerEstimate:
+    fer = _parse(float, tokens[0], path, lineno)
+    frames, errors = (_parse(int, t, path, lineno) for t in tokens[1:])
+    if frames < 1 or not 0 <= errors <= frames:
+        raise SchemaError(f"{path}:{lineno}: inconsistent frame counts")
+    if fer != errors / frames:
+        raise SchemaError(f"{path}:{lineno}: fer {tokens[0]} != "
+                          f"frame_errors/frames {_fmt(errors / frames)}")
+    return FerEstimate.from_counts(errors, frames, ebn0_db)
+
+
 # ---------------------------------------------------------------------------
 # datasets
 
 @dataclass(frozen=True)
 class DatasetHeader:
-    """Everything needed to regenerate or audit a dataset file."""
+    """Everything needed to regenerate or audit a dataset file; its fields,
+    in order, are the file's header lines, followed by the PHI_COEFFS."""
 
     n: int
     k: int
@@ -184,76 +214,44 @@ class DatasetHeader:
         return CodeSpec(self.n, self.k)
 
 
-_DATASET_KEYS = ["n", "k", "algorithm", "list_size", "ebn0_db",
-                 "design_ebn0_db", "range_r", "count_d", "seed",
-                 "phi_a", "phi_b", "phi_c", "phi_split"]
-
-
 def save_dataset(path: str, header: DatasetHeader,
                  records: list[DatasetRecord]) -> None:
     spec = header.spec
-    lines = [
-        f"# {DATASET_VERSION}",
-        f"# n: {header.n}",
-        f"# k: {header.k}",
-        f"# algorithm: {header.algorithm}",
-        f"# list_size: {header.list_size}",
-        f"# ebn0_db: {_fmt(header.ebn0_db)}",
-        f"# design_ebn0_db: {_fmt(header.design_ebn0_db)}",
-        f"# range_r: {header.range_r}",
-        f"# count_d: {header.count_d}",
-        f"# seed: {header.seed}",
-        f"# phi_a: {_fmt(PHI_COEFFS['a'])}",
-        f"# phi_b: {_fmt(PHI_COEFFS['b'])}",
-        f"# phi_c: {_fmt(PHI_COEFFS['c'])}",
-        f"# phi_split: {_fmt(PHI_COEFFS['split'])}",
-    ]
+    items = []
+    for f in dataclass_fields(DatasetHeader):
+        value = getattr(header, f.name)
+        items.append((f.name, _fmt(value) if f.type is float else value))
+    items += [(f"phi_{key}", _fmt(v)) for key, v in PHI_COEFFS.items()]
+    lines = _header_lines(DATASET_VERSION, items)
     for rec in records:
         rec.mask.validate_for(spec)
-        est = rec.fer_estimate
-        lines.append(f"{_mask_string(rec.mask)} {_fmt(est.fer)} {est.frames} "
-                     f"{est.frame_errors}")
-    write_atomic(path, "\n".join(lines) + "\n")
+        lines.append(
+            f"{_mask_string(rec.mask)} {_fer_string(rec.fer_estimate)}")
+    _write_lines(path, lines)
 
 
 def load_dataset(path: str) -> tuple[DatasetHeader, list[DatasetRecord]]:
-    lines = _read_lines(path)
-    fields, body = _header_fields(lines, path, DATASET_VERSION)
-    _require(fields, _DATASET_KEYS, path)
-    header = DatasetHeader(
-        n=_parse_int(fields["n"], path, 2),
-        k=_parse_int(fields["k"], path, 3),
-        algorithm=fields["algorithm"],
-        list_size=_parse_int(fields["list_size"], path, 5),
-        ebn0_db=_parse_float(fields["ebn0_db"], path, 6),
-        design_ebn0_db=_parse_float(fields["design_ebn0_db"], path, 7),
-        range_r=_parse_int(fields["range_r"], path, 8),
-        count_d=_parse_int(fields["count_d"], path, 9),
-        seed=_parse_int(fields["seed"], path, 10),
-    )
-    try:
-        spec = header.spec
-    except InvalidArgument as exc:
-        raise SchemaError(f"{path}: invalid code spec: {exc}") from exc
+    fields, rows = _read_artifact(path, DATASET_VERSION)
+    header_fields = dataclass_fields(DatasetHeader)
+    phi_keys = [f"phi_{key}" for key in PHI_COEFFS]
+    known = {f.name for f in header_fields} | set(phi_keys)
+    unknown = [key for key in fields if key not in known]
+    if unknown:
+        raise SchemaError(f"{path}: unknown header fields {unknown}")
+    header = DatasetHeader(*(_field(fields, f.name, f.type, path)
+                             for f in header_fields))
+    for key in phi_keys:
+        _field(fields, key, float, path)
+    spec = _spec_from(fields, path)
+    _build(path, "decoder", DecoderConfig, header.algorithm, header.list_size)
     records = []
-    for lineno, line in enumerate(lines[body:], start=body + 1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        tokens = line.split()
+    for lineno, row in rows:
+        tokens = row.split()
         if len(tokens) != 4:
             raise SchemaError(
                 f"{path}:{lineno}: expected 4 fields, got {len(tokens)}")
         mask = _parse_mask_string(tokens[0], spec, path, lineno)
-        fer = _parse_float(tokens[1], path, lineno)
-        frames = _parse_int(tokens[2], path, lineno)
-        errors = _parse_int(tokens[3], path, lineno)
-        if frames < 1 or not 0 <= errors <= frames:
-            raise SchemaError(f"{path}:{lineno}: inconsistent frame counts")
-        if fer != errors / frames:
-            raise SchemaError(
-                f"{path}:{lineno}: fer {tokens[1]} != frame_errors/frames "
-                f"{_fmt(errors / frames)}")
-        est = FerEstimate.from_counts(errors, frames, header.ebn0_db)
+        est = _parse_fer_tokens(tokens[1:], header.ebn0_db, path, lineno)
         records.append(DatasetRecord(mask, est))
     return header, records
 
@@ -261,8 +259,11 @@ def load_dataset(path: str) -> tuple[DatasetHeader, list[DatasetRecord]]:
 # ---------------------------------------------------------------------------
 # models
 
-def _write_vector(lines, name, vec):
-    lines.append(f"{name} {' '.join(_fmt(v) for v in np.ravel(vec))}")
+_BN_KEYS = ("gamma", "beta", "mean", "var")  # MlpParams.bn_* order
+
+
+def _vector_line(name, vec) -> str:
+    return f"{name} {' '.join(_fmt(v) for v in np.ravel(vec))}"
 
 
 def save_model(path: str, params: MlpParams, standardizer: Standardizer,
@@ -275,43 +276,39 @@ def save_model(path: str, params: MlpParams, standardizer: Standardizer,
         f"shortcut_g {cfg.shortcut_g}",
         f"batchnorm {int(params.bn_gamma is not None)}",
     ]
-    for key, value in (train_echo or {}).items():
-        lines.append(f"# train.{key}: {value}")
+    lines += [f"# train.{key}: {value}"
+              for key, value in (train_echo or {}).items()]
     lines.append("kept_indices "
                  + " ".join(str(i) for i in standardizer.kept_indices))
-    _write_vector(lines, "in_mean", standardizer.in_mean)
-    _write_vector(lines, "in_std", standardizer.in_std)
+    lines.append(_vector_line("in_mean", standardizer.in_mean))
+    lines.append(_vector_line("in_std", standardizer.in_std))
     lines.append(f"out_mean {_fmt(standardizer.out_mean)}")
     lines.append(f"out_std {_fmt(standardizer.out_std)}")
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         lines.append(f"layer {i} {w.shape[0]} {w.shape[1]}")
-        for row in w:
-            _write_vector(lines, f"w{i}", row)
-        _write_vector(lines, f"b{i}", b)
+        lines += [_vector_line(f"w{i}", row) for row in w]
+        lines.append(_vector_line(f"b{i}", b))
     if params.bn_gamma is not None:
         for i in range(len(params.bn_gamma)):
-            _write_vector(lines, f"bn_gamma{i}", params.bn_gamma[i])
-            _write_vector(lines, f"bn_beta{i}", params.bn_beta[i])
-            _write_vector(lines, f"bn_mean{i}", params.bn_mean[i])
-            _write_vector(lines, f"bn_var{i}", params.bn_var[i])
-    write_atomic(path, "\n".join(lines) + "\n")
+            for key in _BN_KEYS:
+                lines.append(_vector_line(f"bn_{key}{i}",
+                                          getattr(params, f"bn_{key}")[i]))
+    _write_lines(path, lines)
 
 
 class _ModelReader:
-    """Sequential reader over 'name value...' lines with schema diagnostics."""
+    """Sequential reader over 'name value...' rows with schema diagnostics."""
 
-    def __init__(self, path, lines, start):
+    def __init__(self, path, rows):
         self.path = path
-        self.lines = [(i, ln) for i, ln in enumerate(lines[start:],
-                                                     start=start + 1)
-                      if ln.strip() and not ln.startswith("#")]
+        self.rows = rows
         self.pos = 0
 
     def take(self, expect: str) -> tuple[int, list[str]]:
-        if self.pos >= len(self.lines):
+        if self.pos >= len(self.rows):
             raise SchemaError(
                 f"{self.path}: truncated file, expected {expect!r}")
-        lineno, line = self.lines[self.pos]
+        lineno, line = self.rows[self.pos]
         self.pos += 1
         name, *rest = line.split()
         if name != expect:
@@ -319,54 +316,44 @@ class _ModelReader:
                 f"{self.path}:{lineno}: expected {expect!r}, got {name!r}")
         return lineno, rest
 
-    def vector(self, expect: str, size: int) -> np.ndarray:
+    def vector(self, expect: str, size: int | None,
+               type_=float) -> np.ndarray:
         lineno, rest = self.take(expect)
-        if len(rest) != size:
+        if size is not None and len(rest) != size:
             raise SchemaError(f"{self.path}:{lineno}: {expect!r} has "
                               f"{len(rest)} values, expected {size}")
-        return np.array([_parse_float(t, self.path, lineno) for t in rest])
+        return np.array([_parse(type_, t, self.path, lineno) for t in rest])
 
     def done(self):
-        if self.pos != len(self.lines):
-            lineno, line = self.lines[self.pos]
+        if self.pos != len(self.rows):
+            lineno, line = self.rows[self.pos]
             raise SchemaError(
                 f"{self.path}:{lineno}: unknown trailing field "
                 f"{line.split()[0]!r}")
 
 
 def load_model(path: str) -> tuple[MlpParams, Standardizer]:
-    lines = _read_lines(path)
-    _, body = _header_fields(lines, path, MODEL_VERSION)
-    reader = _ModelReader(path, lines, body)
-    cfg_vals = {}
-    for key in ("depth_l", "hidden_h", "shortcut_g", "batchnorm"):
-        lineno, rest = reader.take(key)
-        if len(rest) != 1:
-            raise SchemaError(f"{path}:{lineno}: {key} needs one value")
-        cfg_vals[key] = _parse_int(rest[0], path, lineno)
-    try:
-        cfg = MlpConfig(cfg_vals["depth_l"], cfg_vals["hidden_h"],
-                        cfg_vals["shortcut_g"])
-    except InvalidArgument as exc:
-        raise SchemaError(f"{path}: invalid model config: {exc}") from exc
+    _, body = _read_artifact(path, MODEL_VERSION)
+    reader = _ModelReader(path, body)
+    cfg_vals = {key: int(reader.vector(key, 1, int)[0])
+                for key in ("depth_l", "hidden_h", "shortcut_g", "batchnorm")}
+    cfg = _build(path, "model config", MlpConfig, cfg_vals["depth_l"],
+                 cfg_vals["hidden_h"], cfg_vals["shortcut_g"])
 
-    lineno, rest = reader.take("kept_indices")
-    kept = np.array([_parse_int(t, path, lineno) for t in rest])
+    kept = reader.vector("kept_indices", None, int)
     in_mean = reader.vector("in_mean", kept.size)
     in_std = reader.vector("in_std", kept.size)
     out_mean = float(reader.vector("out_mean", 1)[0])
     out_std = float(reader.vector("out_std", 1)[0])
-    try:
-        standardizer = Standardizer(kept, in_mean, in_std, out_mean, out_std)
-    except InvalidArgument as exc:
-        raise SchemaError(f"{path}: invalid standardizer: {exc}") from exc
+    standardizer = _build(path, "standardizer", Standardizer, kept, in_mean,
+                          in_std, out_mean, out_std)
 
     weights, biases = [], []
     for i in range(cfg.depth_l):
         lineno, rest = reader.take("layer")
         if len(rest) != 3:
             raise SchemaError(f"{path}:{lineno}: layer line needs 3 values")
-        idx, rows, cols = (_parse_int(t, path, lineno) for t in rest)
+        idx, rows, cols = (_parse(int, t, path, lineno) for t in rest)
         if idx != i:
             raise SchemaError(f"{path}:{lineno}: expected layer {i}, "
                               f"got {idx}")
@@ -381,17 +368,15 @@ def load_model(path: str) -> tuple[MlpParams, Standardizer]:
         weights.append(w)
         biases.append(reader.vector(f"b{i}", cols))
 
-    bn = None
+    params = MlpParams(cfg, weights, biases)
     if cfg_vals["batchnorm"]:
-        bn = {"gamma": [], "beta": [], "mean": [], "var": []}
+        bn = {key: [] for key in _BN_KEYS}
         for i in range(cfg.depth_l - 1):
-            for key in ("gamma", "beta", "mean", "var"):
+            for key in _BN_KEYS:
                 bn[key].append(reader.vector(f"bn_{key}{i}", cfg.hidden_h))
+        params = MlpParams(cfg, weights, biases, *bn.values())
     reader.done()
-    if bn is None:
-        return MlpParams(cfg, weights, biases), standardizer
-    return MlpParams(cfg, weights, biases, bn["gamma"], bn["beta"],
-                     bn["mean"], bn["var"]), standardizer
+    return params, standardizer
 
 
 # ---------------------------------------------------------------------------
@@ -399,20 +384,14 @@ def load_model(path: str) -> tuple[MlpParams, Standardizer]:
 
 def save_candidates(path: str, spec: CodeSpec, reports) -> None:
     """Search results, best first; validated FER is '-' when unavailable."""
-    lines = ["# polarlab-candidates v1", f"# n: {spec.n_bits}",
-             f"# k: {spec.k_info}",
-             "# columns: mask predicted_fer validated_fer frames "
-             "frame_errors restart best_iteration"]
+    lines = _header_lines("polarlab-candidates v1", _spec_items(spec) + [
+        ("columns", "mask predicted_fer validated_fer frames frame_errors "
+                    "restart best_iteration")])
     for rep in reports:
-        mask_str = _mask_string(rep.mask)
-        if rep.validated is None:
-            val = "- - -"
-        else:
-            est = rep.validated
-            val = f"{_fmt(est.fer)} {est.frames} {est.frame_errors}"
-        lines.append(f"{mask_str} {_fmt(rep.predicted_fer)} {val} "
-                     f"{rep.restart_index} {rep.best_iteration}")
-    write_atomic(path, "\n".join(lines) + "\n")
+        val = "- - -" if rep.validated is None else _fer_string(rep.validated)
+        lines.append(f"{_mask_string(rep.mask)} {_fmt(rep.predicted_fer)} "
+                     f"{val} {rep.restart_index} {rep.best_iteration}")
+    _write_lines(path, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +409,9 @@ def emit_fer_curve(points: list[tuple[float, FerEstimate]],
         raise InvalidArgument("emit_fer_curve needs at least one point")
     csv_path = path_prefix + ".csv"
     svg_path = path_prefix + ".svg"
-    rows = [FER_CSV_HEADER + "\n"]
-    rows += [f"{_fmt(ebn0)},{_fmt(est.fer)},{_fmt(est.ci_halfwidth)},"
-             f"{est.frames}\n" for ebn0, est in points]
-    write_atomic(csv_path, "".join(rows))
+    _write_lines(csv_path, [FER_CSV_HEADER] + [
+        f"{_fmt(ebn0)},{_fmt(est.fer)},{_fmt(est.ci_halfwidth)},{est.frames}"
+        for ebn0, est in points])
     curve = [(ebn0, est.fer) for ebn0, est in points]
     write_atomic(svg_path, render_fer_svg({label: curve}))
     return csv_path, svg_path
@@ -445,14 +423,12 @@ def load_fer_curve(path: str) -> list[tuple[float, float]]:
     if not lines or lines[0] != FER_CSV_HEADER:
         raise SchemaError(f"{path}:1: not a polarlab FER CSV")
     points = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cols = line.split(",")
+    for lineno, row in _body_rows(lines, 1):
+        cols = row.split(",")
         if len(cols) != 4:
             raise SchemaError(f"{path}:{lineno}: expected 4 columns")
-        points.append((_parse_float(cols[0], path, lineno),
-                       _parse_float(cols[1], path, lineno)))
+        points.append((_parse(float, cols[0], path, lineno),
+                       _parse(float, cols[1], path, lineno)))
     return points
 
 

@@ -68,6 +68,19 @@ def test_mask_rejects_wrong_version_and_popcount(tmp_path):
         iof.load_mask(str(bad))
 
 
+@pytest.mark.parametrize("key", ["n", "k"])
+def test_mask_bad_header_value_reported_at_its_line(tmp_path, key):
+    path = tmp_path / "m.txt"
+    header = {"n": "# n: 4", "k": "# k: 3"}
+    header[key] = f"# {key}: x"
+    # provenance first, so n and k sit on lines 3 and 4
+    path.write_text("# polarlab-mask v1\n# method: ga\n"
+                    f"{header['n']}\n{header['k']}\n1000\n")
+    lineno = 3 if key == "n" else 4
+    with pytest.raises(SchemaError, match=rf"m\.txt:{lineno}: not an integer"):
+        iof.load_mask(str(path))
+
+
 # ---------------------------------------------------------------------------
 # datasets
 
@@ -132,6 +145,30 @@ def test_dataset_rejects_header_problems(tmp_path, random_records):
                                                  "# seed: 42\n# extra: 1"))
     with pytest.raises(SchemaError, match="unknown"):
         iof.load_dataset(str(tmp_path / "u.txt"))
+
+
+def test_dataset_bad_header_value_reported_at_its_line(tmp_path,
+                                                       random_records):
+    path = tmp_path / "ds.txt"
+    iof.save_dataset(str(path), _header(), random_records)
+    lines = path.read_text().splitlines()
+    lines.remove("# seed: 42")
+    lines.insert(1, "# seed: x")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError, match=r"ds\.txt:2: not an integer: 'x'"):
+        iof.load_dataset(str(path))
+
+
+@pytest.mark.parametrize("line", ["# algorithm: bogus", "# list_size: 0"])
+def test_dataset_rejects_invalid_decoder(tmp_path, random_records, line):
+    path = tmp_path / "ds.txt"
+    iof.save_dataset(str(path), _header(), random_records)
+    key = line.split(":")[0]
+    text = "\n".join(line if ln.startswith(key + ":") else ln
+                     for ln in path.read_text().splitlines())
+    path.write_text(text + "\n")
+    with pytest.raises(SchemaError, match="invalid decoder"):
+        iof.load_dataset(str(path))
 
 
 # ---------------------------------------------------------------------------
