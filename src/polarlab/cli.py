@@ -133,6 +133,11 @@ def _decoder_from(resolved) -> DecoderConfig:
                          resolved["metric"], resolved["node"])
 
 
+def _mc_from(resolved) -> MonteCarloConfig:
+    return MonteCarloConfig(resolved["seed"], resolved["target_errors"],
+                            resolved["max_frames"], resolved["threads"])
+
+
 _DECODER_OPTS = [
     _Opt("--list-size", int, 4, "SCL list size (1 = plain SC)"),
     _Opt("--metric", str, "approximate", "path metric: exact|approximate"),
@@ -171,10 +176,9 @@ def cmd_simulate(args, opts):
     r = _resolve(args, opts)
     spec, mask = io_formats.load_mask(r["mask"])
     decoder = _decoder_from(r)
+    mc = _mc_from(r)
     points = []
     for ebn0 in _parse_ebn0_list(r["ebn0"]):
-        mc = MonteCarloConfig(r["seed"], r["target_errors"], r["max_frames"],
-                              r["threads"])
         est = channel.estimate_fer(spec, mask, decoder,
                                    ChannelConfig(ebn0, spec.rate), mc)
         print(f"ebn0={ebn0:6.2f} dB  fer={est.fer:.6e}  "
@@ -194,8 +198,6 @@ def cmd_dataset(args, opts):
     order = construction.ga_reliabilities(spec, r["design_ebn0"])
     decoder = _decoder_from(r)
     cfg = ChannelConfig(r["ebn0"], spec.rate)
-    mc = MonteCarloConfig(r["seed"], r["target_errors"], r["max_frames"],
-                          r["threads"])
     shuffle = construction.ShuffleConfig(r["range_r"], r["count_d"], r["seed"])
 
     def progress(done, total):
@@ -203,7 +205,10 @@ def cmd_dataset(args, opts):
             print(f"  simulated {done}/{total} masks")
 
     records = construction.generate_dataset(spec, order, shuffle, decoder,
-                                            cfg, mc, progress=progress)
+                                            cfg, _mc_from(r),
+                                            progress=progress)
+    if not records:
+        raise NumericError("every mask failed to simulate; no dataset written")
     header = io_formats.DatasetHeader(
         r["n"], r["k"], decoder.algorithm, decoder.list_size, r["ebn0"],
         r["design_ebn0"], r["range_r"], r["count_d"], r["seed"])
@@ -260,11 +265,9 @@ def cmd_search(args, opts):
     decoder = _decoder_from(r | {"list_size": header.list_size})
     cfg = search.PgdConfig(r["iters"], r["mu"], r["restarts"], r["seed"],
                            r["topk"])
-    mc = MonteCarloConfig(r["seed"], r["target_errors"], r["max_frames"],
-                          r["threads"])
     reports = search.search_and_validate(
         params, standardizer, cfg, spec, decoder,
-        ChannelConfig(header.ebn0_db, spec.rate), mc, base_mask)
+        ChannelConfig(header.ebn0_db, spec.rate), _mc_from(r), base_mask)
     io_formats.save_candidates(r["out"], spec, reports)
     _write_manifest(r["out"], "search", r)
     best_data = min((rec.fer_estimate.fer for rec in records), default=None)
@@ -369,8 +372,7 @@ def _build_parser():
         _Opt("--restarts", int, 64, "independent restarts"),
         _Opt("--topk", int, 8, "candidates to validate by simulation"),
         _Opt("--out", str, "candidates.txt", "output candidate report"),
-        _Opt("--metric", str, "approximate", "path metric: exact|approximate"),
-        _Opt("--node", str, "min_sum_f", "f-node rule: exact_f|min_sum_f"),
+        *_DECODER_OPTS[1:],  # the list size comes from the dataset
         *_MC_OPTS,
     ], "PGD mask search guided by a trained surrogate")
 
@@ -383,6 +385,11 @@ def _build_parser():
     return parser, table
 
 
+# exception -> exit code (see the module docstring); the first match wins
+_EXIT_CODES = [(InvalidArgument, 2), (SchemaError, 3),
+               ((NumericError, InvalidState), 4), (PolarLabError, 1)]
+
+
 def main(argv=None) -> int:
     parser, table = _build_parser()
     args = parser.parse_args(argv)
@@ -392,18 +399,10 @@ def main(argv=None) -> int:
     func, opts = table[args.command]
     try:
         return func(args, opts)
-    except InvalidArgument as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (NumericError, InvalidState) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except PolarLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for types, code in _EXIT_CODES
+                    if isinstance(exc, types))
 
 
 if __name__ == "__main__":

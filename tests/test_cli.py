@@ -207,3 +207,33 @@ def test_manifest_echoes_resolved_config(tmp_path, mask_file):
     assert "seed: 5" in manifest
     assert "list_size: 2" in manifest
     assert "metric: approximate" in manifest  # defaults are echoed too
+
+
+def test_dataset_with_every_mask_skipped_writes_nothing(tmp_path,
+                                                        monkeypatch, capsys):
+    from polarlab import construction
+    from polarlab.errors import NumericError
+
+    def fail(*args, **kwargs):
+        raise NumericError("no frames simulated")
+
+    monkeypatch.setattr(construction, "estimate_fer", fail)
+    out = tmp_path / "ds.txt"
+    assert run("dataset", "--n", "16", "--k", "8", "--range-r", "2",
+               "--count-d", "3", "--out", str(out)) == 4
+    assert "error: every mask failed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_search_rejects_dataset_with_invalid_decoder(tmp_path, dataset_file):
+    model = str(tmp_path / "model.txt")
+    assert run("train", "--dataset", dataset_file, "--epochs", "2",
+               "--hidden", "8", "--depth", "2", "--gap", "1",
+               "--out", model) == 0
+    text = (tmp_path / "ds.txt").read_text()
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text.replace("# list_size: 2", "# list_size: 0"))
+    assert run("search", "--model", model, "--dataset", str(bad),
+               "--iters", "2", "--restarts", "1",
+               "--out", str(tmp_path / "cand.txt")) == 3
+    assert not (tmp_path / "cand.txt").exists()
