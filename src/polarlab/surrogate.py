@@ -298,17 +298,22 @@ def backward(config: MlpConfig, params: MlpParams, x: np.ndarray,
     Returns (loss, param_grads, input_grad) where param_grads mirrors
     params.trainables() ordering.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     target = np.atleast_1d(np.asarray(target, dtype=np.float64))
-    y, cache = _forward_cached(config, params, x)
+    return _mse_step(config, params, x, target)
+
+
+def _mse_step(config, params, x, target, training=False, dropout_p=0.0,
+              rng=None):
+    """One forward/backward pass of the mean squared error against target:
+    (loss, param grads in params.trainables() order, input grad)."""
+    y, cache = _forward_cached(config, params, x, training, dropout_p, rng)
     resid = y - target
-    loss = float(np.mean(resid ** 2))
-    d_out = 2.0 * resid / resid.size
-    dW, db, dgamma, dbeta, d_in = _backward_cached(config, params, cache, d_out)
+    dW, db, dgamma, dbeta, d_in = _backward_cached(
+        config, params, cache, 2.0 * resid / resid.size, dropout_p)
     grads = dW + db
     if params.uses_batchnorm:
         grads += dgamma + dbeta
-    return loss, grads, d_in
+    return float(np.mean(resid ** 2)), grads, d_in
 
 
 def output_and_input_gradient(config: MlpConfig, params: MlpParams,
@@ -406,15 +411,8 @@ def train(records, split_fraction: float, config: MlpConfig,
                 other = rng.permutation(sel.size)
                 xb = lam[:, None] * xb + (1 - lam[:, None]) * xb[other]
                 yb = lam * yb + (1 - lam) * yb[other]
-            yp, cache = _forward_cached(config, params, xb, training=True,
-                                        dropout_p=tc.dropout_p, rng=rng)
-            resid = yp - yb
-            d_out = 2.0 * resid / resid.size
-            dW, db, dgamma, dbeta, _ = _backward_cached(
-                config, params, cache, d_out, dropout_p=tc.dropout_p)
-            grads = dW + db
-            if params.uses_batchnorm:
-                grads += dgamma + dbeta
+            _, grads, _ = _mse_step(config, params, xb, yb, training=True,
+                                    dropout_p=tc.dropout_p, rng=rng)
             if not all(np.all(np.isfinite(g)) for g in grads):
                 raise NumericError("non-finite gradient during training")
             opt.step(params.trainables(), grads)

@@ -8,8 +8,7 @@ from polarlab.channel import FerEstimate
 from polarlab.codec import FrozenMask
 from polarlab.construction import DatasetRecord
 from polarlab.errors import InvalidArgument
-from polarlab.surrogate import (MlpConfig, TrainConfig, _backward_cached,
-                                _forward_cached, backward,
+from polarlab.surrogate import (MlpConfig, TrainConfig, _mse_step, backward,
                                 constant_predictor_ioe, evaluate_ioe,
                                 fit_standardizer, forward, init_params,
                                 output_and_input_gradient, train)
@@ -105,13 +104,9 @@ def test_forward_shortcut_changes_output():
 def _loss_and_grads(cfg, params, x, target, training):
     if not training:
         loss, grads, _ = backward(cfg, params, x, target)
-        return loss, grads
-    # batch-statistics BatchNorm, the forward/backward pair train() runs
-    y, cache = _forward_cached(cfg, params, x, training=True)
-    resid = y - target
-    dW, db, dgamma, dbeta, _ = _backward_cached(cfg, params, cache,
-                                                2.0 * resid / resid.size)
-    return float(np.mean(resid ** 2)), dW + db + dgamma + dbeta
+    else:  # batch-statistics BatchNorm, the step train() runs
+        loss, grads, _ = _mse_step(cfg, params, x, target, training=True)
+    return loss, grads
 
 
 def _fd_check(cfg, batchnorm, seed, rel_tol=1e-6):
