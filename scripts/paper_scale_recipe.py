@@ -7,11 +7,14 @@ FERs reaching the 1e-4 decade, trains a (L=5, H=320, G=3) surrogate, and
 mines masks with 64 PGD restarts. The README's "Reproducing
 published-scale results" section projects its cost from the measured
 SCL-32 frame rate: CPU-years end to end. Run it detached and keep the
-output directory; every stage is resumable from its artifact.
+output directory.
 
     python3 scripts/paper_scale_recipe.py --workers 16 --out-dir runs/large
 
-Stages can be skipped once their artifact exists (pass --skip-existing).
+With --skip-existing a dataset or model file already in --out-dir is
+reused instead of rebuilt. The search and validation always re-run, and
+an interrupted dataset stage starts over: it writes its file only when
+every mask is done.
 """
 
 import argparse
