@@ -146,20 +146,12 @@ def estimate_fer(
                                batch_size(b))
 
     frames = errors = 0
-    pool = ThreadPoolExecutor(mc.workers) if mc.workers > 1 else None
-    try:
+    with ThreadPoolExecutor(mc.workers) as pool:
         for start in range(0, n_batches, ROUND_BATCHES):
             batches = range(start, min(start + ROUND_BATCHES, n_batches))
-            if pool is not None:
-                results = list(pool.map(run, batches))
-            else:
-                results = [run(b) for b in batches]
-            for b, err in zip(batches, results):
+            for b, err in zip(batches, pool.map(run, batches)):
                 frames += batch_size(b)
                 errors += err
             if errors >= mc.target_frame_errors:
                 break
-    finally:
-        if pool is not None:
-            pool.shutdown()
     return FerEstimate.from_counts(errors, frames, channel.ebn0_db)
