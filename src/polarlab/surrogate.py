@@ -153,14 +153,21 @@ class IoeReport:
     count: int
 
 
+def _masks_and_fers(records):
+    """Stacked mask bits and FERs of records; every FER must be > 0."""
+    if not records:
+        raise InvalidArgument("dataset is empty")
+    fers = np.array([r.fer_estimate.fer for r in records])
+    if np.any(fers <= 0):
+        raise InvalidArgument("every record must have FER > 0 (log undefined)")
+    return np.stack([r.mask.bits for r in records]), fers
+
+
 def fit_standardizer(records) -> Standardizer:
     """Fit on (mask bits, FER) pairs; drops constant coordinates."""
     if len(records) < 2:
         raise InvalidArgument("need at least 2 records")
-    masks = np.stack([r.mask.bits for r in records])
-    fers = np.array([r.fer_estimate.fer for r in records])
-    if np.any(fers <= 0):
-        raise InvalidArgument("every record must have FER > 0 (log undefined)")
+    masks, fers = _masks_and_fers(records)
     kept = np.flatnonzero(masks.min(axis=0) != masks.max(axis=0))
     if kept.size == 0:
         raise InvalidArgument("all input coordinates are constant")
@@ -335,10 +342,7 @@ def _ioe_from_log(pred_log_fer: np.ndarray, fers: np.ndarray) -> np.ndarray:
 def evaluate_ioe(params: MlpParams, standardizer: Standardizer,
                  records) -> IoeReport:
     """Inflation of error of de-standardized predictions on records."""
-    masks = np.stack([r.mask.bits for r in records])
-    fers = np.array([r.fer_estimate.fer for r in records])
-    if np.any(fers <= 0):
-        raise InvalidArgument("IOE needs FER > 0")
+    masks, fers = _masks_and_fers(records)
     pred = forward(params.config, params,
                    standardizer.transform_inputs(masks))
     ioe = _ioe_from_log(standardizer.inverse_log_fer(pred), fers)
@@ -347,7 +351,7 @@ def evaluate_ioe(params: MlpParams, standardizer: Standardizer,
 
 def constant_predictor_ioe(records) -> IoeReport:
     """Chance level: predict the mean log-FER for every record."""
-    fers = np.array([r.fer_estimate.fer for r in records])
+    _, fers = _masks_and_fers(records)
     ioe = _ioe_from_log(np.full(fers.size, np.log(fers).mean()), fers)
     return IoeReport(float(ioe.mean()), float(ioe.max()), ioe, len(records))
 
@@ -380,8 +384,7 @@ def train(records, split_fraction: float, config: MlpConfig,
 
     Returns (MlpParams, Standardizer, IoeReport on validation).
     """
-    if not records:
-        raise InvalidArgument("dataset is empty")
+    masks, fers = _masks_and_fers(records)
     if not 0.0 < split_fraction < 1.0:
         raise InvalidArgument("split_fraction must be in (0, 1)")
     rng = np.random.default_rng(tc.seed)
@@ -389,13 +392,12 @@ def train(records, split_fraction: float, config: MlpConfig,
     n_train = int(round(split_fraction * len(records)))
     if n_train < 2 or n_train >= len(records):
         raise InvalidArgument("split leaves an empty train or validation set")
-    train_recs = [records[i] for i in perm[:n_train]]
+    train_idx = perm[:n_train]
     val_recs = [records[i] for i in perm[n_train:]]
 
-    std = fit_standardizer(train_recs)
-    X = std.transform_inputs(np.stack([r.mask.bits for r in train_recs]))
-    y = std.transform_log_fer(
-        np.log([r.fer_estimate.fer for r in train_recs]))
+    std = fit_standardizer([records[i] for i in train_idx])
+    X = std.transform_inputs(masks[train_idx])
+    y = std.transform_log_fer(np.log(fers[train_idx]))
 
     params = init_params(config, X.shape[1], rng, batchnorm=tc.batchnorm)
     opt = _Adam(params.trainables(), tc.learning_rate)

@@ -216,6 +216,22 @@ def test_constant_predictor_uses_geometric_mean():
     assert rep.average_ioe == pytest.approx(expected)
 
 
+def test_every_records_consumer_rejects_a_zero_error_record():
+    rng = np.random.default_rng(3)
+    recs = random_records(rng, count=6)
+    recs[2].fer_estimate = FerEstimate.from_counts(0, 100, 2.0)
+    std = fit_standardizer(recs[3:])
+    params = init_params(MlpConfig(1, 1, 1), std.kept_indices.size,
+                         np.random.default_rng(0))
+    for consume in (lambda: constant_predictor_ioe(recs),
+                    lambda: evaluate_ioe(params, std, recs),
+                    lambda: fit_standardizer(recs),
+                    lambda: train(recs, 0.5, MlpConfig(1, 1, 1),
+                                  TrainConfig(epochs=1))):
+        with pytest.raises(InvalidArgument, match="FER > 0"):
+            consume()
+
+
 # ---------------------------------------------------------------------------
 # training
 
