@@ -100,28 +100,22 @@ def _pgd_restarts(params: MlpParams, standardizer: Standardizer,
     best_q = np.empty_like(relaxed)
     best_iter = np.full(rows, -1)
     died_at = np.full(rows, -1)
-
-    def evaluate(q, iteration):
+    # pass iterations_i only scores the point the last step reached
+    for it in range(config.iterations_i + 1):
+        q = quantize(relaxed, quota)
         y, g_std = output_and_input_gradient(
             params.config, params, standardizer.transform_signed(q))
         finite = np.isfinite(y) & np.all(np.isfinite(g_std), axis=1)
-        died_at[(died_at < 0) & ~finite] = iteration
+        died_at[(died_at < 0) & ~finite] = it
         pred = np.exp(standardizer.inverse_log_fer(y))
         better = (died_at < 0) & (pred < best_pred)
         best_pred[better] = pred[better]
         best_q[better] = q[better]
-        best_iter[better] = iteration
-        # chain the standardized-space gradient back to the signed domain
-        return g_std / standardizer.in_std
-
-    for it in range(config.iterations_i):
-        q = quantize(relaxed, quota)
-        grad = evaluate(q, it)
+        best_iter[better] = it
         if np.all(died_at >= 0):
             break
-        relaxed = relaxed - config.step_mu * grad
-    else:
-        evaluate(quantize(relaxed, quota), config.iterations_i)
+        # chain the standardized-space gradient back to the signed domain
+        relaxed = relaxed - config.step_mu * (g_std / standardizer.in_std)
 
     results = []
     for r, j in enumerate(restart_indices):
