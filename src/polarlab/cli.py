@@ -12,6 +12,7 @@ simulation failure.
 """
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -231,10 +232,7 @@ def cmd_train(args, opts):
     params, standardizer, report = surrogate.train(records, r["split"], mlp, tc)
     chance = surrogate.constant_predictor_ioe(records)
     io_formats.save_model(r["out"], params, standardizer, {
-        "epochs": tc.epochs, "batch_size": tc.batch_size,
-        "learning_rate": tc.learning_rate, "seed": tc.seed,
-        "dropout_p": tc.dropout_p, "batchnorm": tc.batchnorm,
-        "mixup_alpha": tc.mixup_alpha, "split": r["split"],
+        **dataclasses.asdict(tc), "split": r["split"],
         "dataset": r["dataset"]})
     _write_manifest(r["out"], "train", r)
     print(f"validation average IOE {report.average_ioe:.4f} "
@@ -268,6 +266,8 @@ def cmd_search(args, opts):
     reports = search.search_and_validate(
         params, standardizer, cfg, spec, decoder,
         ChannelConfig(header.ebn0_db, spec.rate), _mc_from(r), base_mask)
+    if not reports:
+        raise NumericError("every PGD restart aborted; no candidates written")
     io_formats.save_candidates(r["out"], spec, reports)
     _write_manifest(r["out"], "search", r)
     best_data = min((rec.fer_estimate.fer for rec in records), default=None)

@@ -225,6 +225,26 @@ def test_dataset_with_every_mask_skipped_writes_nothing(tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_search_with_every_restart_aborted_writes_nothing(
+        tmp_path, dataset_file, monkeypatch, capsys):
+    from polarlab import search
+
+    def nan_gradient(config, params, x):
+        return np.full(len(x), np.nan), np.full(x.shape, np.nan)
+
+    model = str(tmp_path / "model.txt")
+    assert run("train", "--dataset", dataset_file, "--epochs", "2",
+               "--hidden", "8", "--depth", "2", "--gap", "1",
+               "--out", model) == 0
+    monkeypatch.setattr(search, "output_and_input_gradient", nan_gradient)
+    assert run("search", "--model", model, "--dataset", dataset_file,
+               "--iters", "5", "--restarts", "3",
+               "--out", str(tmp_path / "cand.txt")) == 4
+    assert "error: every PGD restart aborted" in capsys.readouterr().err
+    assert not (tmp_path / "cand.txt").exists()
+    assert not (tmp_path / "cand.txt.manifest").exists()
+
+
 def test_search_rejects_dataset_with_invalid_decoder(tmp_path, dataset_file):
     model = str(tmp_path / "model.txt")
     assert run("train", "--dataset", dataset_file, "--epochs", "2",
