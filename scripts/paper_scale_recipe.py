@@ -1,35 +1,35 @@
 #!/usr/bin/env python3
-"""Full-scale (256,128) pipeline: dataset, surrogate, PGD search.
+"""Full-scale (256,128) pipeline: GA baseline, dataset, surrogate, PGD search.
 
-This is the published-scale counterpart of the desk-scale acceptance run.
-It simulates on the order of 1e5 shuffled constructions under SCL-32 with
-FERs reaching the 1e-4 decade, trains a (L=5, H=320, G=3) surrogate, and
-mines masks with 64 PGD restarts. The README's "Reproducing
+This is the published-scale counterpart of scripts/desk_scale_pipeline.sh
+and runs the same `polarlab` CLI stages: `construct` and `simulate` for the
+GA baseline (mask.txt, baseline.csv, baseline.svg), then `dataset`, `train`
+and `search` (dataset.txt, model.txt, candidates.txt). Every artifact gets
+the CLI's `.manifest`. It simulates on the order of 1e5 shuffled
+constructions under SCL-32 with FERs reaching the 1e-4 decade (the dataset
+stage prints its progress every 25 masks), trains a (L=5, H=320, G=3)
+surrogate, and mines masks with 64 PGD restarts. The README's "Reproducing
 published-scale results" section projects its cost from the measured
 SCL-32 frame rate: CPU-years end to end. Run it detached and keep the
 output directory.
 
     python3 scripts/paper_scale_recipe.py --workers 16 --out-dir runs/large
 
-With --skip-existing a dataset or model file already in --out-dir is
-reused instead of rebuilt. The search and validation always re-run, and
-an interrupted dataset stage starts over: it writes its file only when
-every mask is done.
+With --skip-existing a stage whose output file is already in --out-dir
+(mask, baseline curve, dataset, model) is skipped. The search and
+validation always re-run, and an interrupted dataset stage starts over: it
+writes its file only when every mask is done. A stage that fails ends the
+recipe with the CLI's exit code.
 """
 
 import argparse
 import os
 import sys
 
-from polarlab import io_formats
-from polarlab.channel import ChannelConfig, MonteCarloConfig, estimate_fer
+from polarlab import cli
+from polarlab.channel import ChannelConfig
 from polarlab.codec import CodeSpec, DecoderConfig
-from polarlab.construction import (ShuffleConfig, build_mask,
-                                   ga_reliabilities, generate_dataset,
-                                   select_shuffle_range)
-from polarlab.search import PgdConfig, search_and_validate
-from polarlab.surrogate import (MlpConfig, TrainConfig,
-                                constant_predictor_ioe, train)
+from polarlab.construction import ga_reliabilities, select_shuffle_range
 
 N, K = 256, 128
 EBN0_DB = 3.2          # operating point with baseline FER in the 1e-4 decade
@@ -37,82 +37,73 @@ LIST_SIZE = 32
 DATASET_SIZE = 100_000
 TARGET_ERRORS = 100
 MAX_FRAMES = 20_000_000
-MLP = MlpConfig(depth_l=5, hidden_h=320, shortcut_g=3)
+MLP = dict(depth=5, hidden=320, gap=3)
 EPOCHS = 500
-PGD = dict(iterations_i=5000, step_mu=0.1, restarts=64, top_k=8)
+PGD = dict(iters=5000, mu=0.1, restarts=64, topk=8)
 
 
-def main() -> int:
+def _flags(**values) -> list[str]:
+    """CLI flags from keyword arguments: range_r=8 -> ['--range-r', '8']."""
+    return [token for key, value in values.items()
+            for token in ("--" + key.replace("_", "-"), str(value))]
+
+
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out-dir", default="runs/large")
     ap.add_argument("--skip-existing", action="store_true",
-                    help="reuse dataset/model files already in --out-dir")
-    args = ap.parse_args()
+                    help="skip a stage whose output is already in --out-dir")
+    args = ap.parse_args(argv)
     os.makedirs(args.out_dir, exist_ok=True)
-    dataset_path = os.path.join(args.out_dir, "dataset.txt")
-    model_path = os.path.join(args.out_dir, "model.txt")
-    cand_path = os.path.join(args.out_dir, "candidates.txt")
+    mask, baseline, dataset, model, candidates = (
+        os.path.join(args.out_dir, name) for name in
+        ("mask.txt", "baseline", "dataset.txt", "model.txt",
+         "candidates.txt"))
 
-    spec = CodeSpec(N, K)
-    order = ga_reliabilities(spec, EBN0_DB)
-    decoder = DecoderConfig("scl", LIST_SIZE)
-    ch = ChannelConfig(EBN0_DB, spec.rate)
+    def mc(target_errors, max_frames):
+        return _flags(seed=args.seed, threads=args.workers,
+                      target_errors=target_errors, max_frames=max_frames)
 
-    if args.skip_existing and os.path.exists(dataset_path):
-        header, records = io_formats.load_dataset(dataset_path)
-        range_r = header.range_r
-        print(f"reusing {len(records)} records from {dataset_path}")
-    else:
-        baseline = estimate_fer(
-            spec, build_mask(spec, order), decoder, ch,
-            MonteCarloConfig(args.seed, TARGET_ERRORS, MAX_FRAMES,
-                             args.workers))
-        print(f"baseline GA FER at {EBN0_DB} dB: {baseline.fer:.3e}")
+    def shuffle_range():
+        spec = CodeSpec(N, K)
         range_r = select_shuffle_range(
-            spec, order, decoder, ch, pilot_size=8,
-            candidate_rs=[8, 12, 16, 20, 24], seed=args.seed,
+            spec, ga_reliabilities(spec, EBN0_DB),
+            DecoderConfig("scl", LIST_SIZE), ChannelConfig(EBN0_DB, spec.rate),
+            pilot_size=8, candidate_rs=[8, 12, 16, 20, 24], seed=args.seed,
             max_frames=MAX_FRAMES)
         print(f"selected shuffle half-width r={range_r}")
-        records = generate_dataset(
-            spec, order, ShuffleConfig(range_r, DATASET_SIZE, args.seed),
-            decoder, ch,
-            MonteCarloConfig(args.seed, TARGET_ERRORS, MAX_FRAMES,
-                             args.workers),
-            progress=lambda d, t: print(f"  {d}/{t} masks", flush=True)
-            if d % 500 == 0 else None)
-        header = io_formats.DatasetHeader(
-            N, K, decoder.algorithm, LIST_SIZE, EBN0_DB, EBN0_DB, range_r,
-            DATASET_SIZE, args.seed)
-        io_formats.save_dataset(dataset_path, header, records)
-        print(f"wrote {len(records)} records -> {dataset_path}")
+        return range_r
 
-    if args.skip_existing and os.path.exists(model_path):
-        params, standardizer = io_formats.load_model(model_path)
-        print(f"reusing model from {model_path}")
-    else:
-        params, standardizer, report = train(
-            records, 0.8, MLP, TrainConfig(epochs=EPOCHS, seed=args.seed))
-        chance = constant_predictor_ioe(records)
-        io_formats.save_model(model_path, params, standardizer,
-                              {"epochs": EPOCHS, "seed": args.seed})
-        print(f"validation average IOE {report.average_ioe:.4f} "
-              f"(chance {chance.average_ioe:.4f}) -> {model_path}")
-
-    reports = search_and_validate(
-        params, standardizer, PgdConfig(seed=args.seed, **PGD), spec,
-        decoder, ch,
-        MonteCarloConfig(args.seed, 2 * TARGET_ERRORS, 10 * MAX_FRAMES,
-                         args.workers),
-        build_mask(spec, order))
-    io_formats.save_candidates(cand_path, spec, reports)
-    best = reports[0]
-    if best.validated is not None:
-        print(f"best candidate FER {best.validated.fer:.3e} "
-              f"(predicted {best.predicted_fer:.3e}) -> {cand_path}")
-    best_dataset = min(r.fer_estimate.fer for r in records)
-    print(f"best dataset FER for comparison: {best_dataset:.3e}")
+    # (output that --skip-existing looks for, CLI argv built when run)
+    stages = [
+        (mask, lambda: ["construct", *_flags(n=N, k=K, ebn0=EBN0_DB),
+                        "--out", mask]),
+        (baseline + ".csv", lambda: [
+            "simulate", "--mask", mask,
+            *_flags(ebn0=EBN0_DB, list_size=LIST_SIZE),
+            *mc(TARGET_ERRORS, MAX_FRAMES), "--out", baseline]),
+        (dataset, lambda: [
+            "dataset", *_flags(n=N, k=K, ebn0=EBN0_DB, design_ebn0=EBN0_DB,
+                               range_r=shuffle_range(), count_d=DATASET_SIZE,
+                               list_size=LIST_SIZE),
+            *mc(TARGET_ERRORS, MAX_FRAMES), "--out", dataset]),
+        (model, lambda: ["train", "--dataset", dataset,
+                         *_flags(epochs=EPOCHS, seed=args.seed, **MLP),
+                         "--out", model]),
+        (None, lambda: ["search", "--model", model, "--dataset", dataset,
+                        *_flags(**PGD),
+                        *mc(2 * TARGET_ERRORS, 10 * MAX_FRAMES),
+                        "--out", candidates]),
+    ]
+    for output, command in stages:
+        if args.skip_existing and output and os.path.exists(output):
+            print(f"reusing {output}")
+            continue
+        code = cli.main(command())
+        if code:
+            return code
     return 0
 
 

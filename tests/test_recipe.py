@@ -1,0 +1,84 @@
+"""The paper-scale recipe at desk size: it runs the CLI's stages, every
+artifact gets a manifest, --skip-existing reuses finished stages, and a
+failing stage's exit code ends the recipe."""
+
+import importlib.util
+import pathlib
+import shutil
+
+import numpy as np
+import pytest
+
+from polarlab import search
+
+RECIPE = (pathlib.Path(__file__).resolve().parent.parent / "scripts"
+          / "paper_scale_recipe.py")
+# artifact -> the .manifest the CLI writes beside it
+ARTIFACTS = {
+    "mask.txt": "mask.txt.manifest",
+    "baseline.csv": "baseline.manifest",
+    "baseline.svg": "baseline.manifest",
+    "dataset.txt": "dataset.txt.manifest",
+    "model.txt": "model.txt.manifest",
+    "candidates.txt": "candidates.txt.manifest",
+}
+
+
+def small_recipe():
+    spec = importlib.util.spec_from_file_location("paper_scale_recipe",
+                                                  RECIPE)
+    recipe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recipe)
+    recipe.N, recipe.K, recipe.LIST_SIZE = 64, 32, 2
+    recipe.DATASET_SIZE, recipe.EPOCHS = 40, 5
+    recipe.TARGET_ERRORS, recipe.MAX_FRAMES = 20, 2048
+    recipe.MLP = dict(depth=3, hidden=32, gap=2)
+    recipe.PGD = dict(iters=50, mu=0.1, restarts=4, topk=2)
+    return recipe
+
+
+def run(out_dir, *extra):
+    return small_recipe().main(["--workers", "2", "--seed", "3",
+                                "--out-dir", str(out_dir), *extra])
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("recipe")
+    assert run(out) == 0
+    return out
+
+
+def test_every_stage_writes_its_artifact_and_manifest(finished_run):
+    for artifact, manifest in ARTIFACTS.items():
+        assert (finished_run / artifact).is_file(), artifact
+        assert (finished_run / manifest).is_file(), manifest
+    assert "command: dataset" in (
+        finished_run / "dataset.txt.manifest").read_text()
+
+
+def test_skip_existing_reuses_dataset_and_model(finished_run, tmp_path,
+                                                capsys):
+    out = tmp_path / "rerun"
+    shutil.copytree(finished_run, out)
+    before = {name: (out / name).read_bytes() for name in ARTIFACTS}
+    (out / "candidates.txt").unlink()
+    assert run(out, "--skip-existing") == 0
+    printed = capsys.readouterr().out
+    for name in ("mask.txt", "baseline.csv", "dataset.txt", "model.txt"):
+        assert f"reusing {out / name}" in printed
+    # the search re-runs on the reused files and reproduces its candidates
+    assert {name: (out / name).read_bytes() for name in ARTIFACTS} == before
+
+
+def test_failing_stage_ends_the_recipe_with_its_exit_code(
+        finished_run, tmp_path, monkeypatch):
+    def nan_gradient(config, params, x):
+        return np.full(len(x), np.nan), np.full(x.shape, np.nan)
+
+    out = tmp_path / "rerun"
+    shutil.copytree(finished_run, out)
+    (out / "candidates.txt").unlink()
+    monkeypatch.setattr(search, "output_and_input_gradient", nan_gradient)
+    assert run(out, "--skip-existing") == 4  # every PGD restart aborted
+    assert not (out / "candidates.txt").exists()
