@@ -72,7 +72,7 @@ def main(argv=None) -> int:
             spec, ga_reliabilities(spec, EBN0_DB),
             DecoderConfig("scl", LIST_SIZE), ChannelConfig(EBN0_DB, spec.rate),
             pilot_size=8, candidate_rs=[8, 12, 16, 20, 24], seed=args.seed,
-            max_frames=MAX_FRAMES)
+            max_frames=MAX_FRAMES, workers=args.workers)
         print(f"selected shuffle half-width r={range_r}")
         return range_r
 

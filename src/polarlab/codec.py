@@ -3,13 +3,18 @@
 Everything works in natural bit order (no bit-reversal permutation); the
 frozen mask uses the same order. Decoders are batched over frames; a single
 frame is a (1, N) batch.
-Both decoders keep one LLR and one partial-sum array per tree level, and
-the channel LLRs are level n, the top of the tree. Each f/g result and each
-folded partial-sum block is bound to its level as a new array rather than
-copied into a preallocated one. SCL adds a path axis and, per level, a
-path-pointer array, so a fork re-points paths (Tal & Vardy's lazy copy) and
-a level is gathered only when read. SC keeps its own loop as the reference
-that SCL with list size 1 is tested against.
+Both decoders keep one LLR and one partial-sum array per tree level, the
+channel LLRs being level n, the top of the tree. Levels are stored leaf
+first, (2**l, B) in SC and (2**l, B, P) in SCL, so the halves f and g read
+are contiguous slabs and partial sums fold along axis 0. Each f/g result and
+each folded partial-sum block is bound to its level as a new array. f and g
+work on sign bits: f ORs the XOR of the operands' sign bits into
+min(|a|, |b|), g flips a's sign bit where u = 1 and adds b, which gives the
+bits of copysign(min(|a|, |b|), a * b) and b + (1 - 2u) * a for any finite
+input. SCL adds a path axis and, per level, a path-pointer array, so a fork
+re-points paths (Tal & Vardy's lazy copy) and a level is gathered only when
+read. SC keeps its own loop as the reference that SCL with list size 1 is
+tested against.
 """
 
 from dataclasses import dataclass
@@ -151,7 +156,13 @@ def encode(spec: CodeSpec, mask: FrozenMask, payload: np.ndarray) -> np.ndarray:
 
 
 def _f_min_sum(a, b):
-    return np.copysign(np.minimum(np.abs(a), np.abs(b)), a * b)
+    # copysign(min(|a|, |b|), a * b): a * b has the XOR of the sign bits
+    m = np.abs(a)
+    np.minimum(m, np.abs(b), out=m)
+    sign = a.view(np.int64) ^ b.view(np.int64)
+    sign &= -1 << 63  # keep the sign bit
+    np.bitwise_or(m.view(np.int64), sign, out=m.view(np.int64))
+    return m
 
 
 def _f_exact(a, b):
@@ -160,7 +171,11 @@ def _f_exact(a, b):
 
 
 def _g(a, b, u):
-    return b + (1.0 - 2.0 * u) * a
+    # b + (1 - 2u) * a: flip a's sign bit where u = 1 (u has the full shape)
+    s = u.astype(np.int64)
+    s <<= 63
+    s ^= a.view(np.int64)
+    return np.add(s.view(np.float64), b, out=s.view(np.float64))
 
 
 _F_FUNCS = {"min_sum_f": _f_min_sum, "exact_f": _f_exact}
@@ -200,8 +215,8 @@ def sc_decode_batch(
     B, N = llrs.shape
     f_func = _F_FUNCS[node_mode]
     n = spec.stages
-    # per-level active blocks, (B, 2**l) at level l; level n is the channel
-    llr_lvl = [None] * n + [llrs]
+    # per-level active blocks, (2**l, B) at level l; level n is the channel
+    llr_lvl = [None] * n + [np.ascontiguousarray(llrs.T)]
     sums = [None] * n
     u_hat = np.empty((B, N), dtype=np.uint8)
     errs = np.zeros((B, N), dtype=np.uint8) if genie_zero else None
@@ -216,7 +231,7 @@ def sc_decode_batch(
         for l in range(top - 1, -1, -1):
             a, b = _parent_halves(llr_lvl, l)
             llr_lvl[l] = f_func(a, b)
-        leaf = llr_lvl[0][:, 0]
+        leaf = llr_lvl[0][0]
         if genie_zero:
             errs[:, i] = leaf < 0
             u = np.zeros(B, dtype=np.uint8)
@@ -225,7 +240,7 @@ def sc_decode_batch(
         else:
             u = (leaf < 0).astype(np.uint8)
         u_hat[:, i] = u
-        _propagate_sums(sums, u[:, None], i, n)
+        _propagate_sums(sums, u[None], i, n)
 
     if genie_zero:
         return errs
@@ -236,7 +251,7 @@ def _parent_halves(llr_lvl, l):
     """Halves of the level-(l+1) block feeding the level-l computation."""
     h = 1 << l
     blk = llr_lvl[l + 1]
-    return blk[..., :h], blk[..., h:]
+    return blk[:h], blk[h:]
 
 
 def _propagate_sums(sums, u, i, n):
@@ -244,7 +259,7 @@ def _propagate_sums(sums, u, i, n):
     c = u
     pos, l = i, 0
     while pos & 1:
-        c = np.concatenate([sums[l] ^ c, c], axis=-1)
+        c = np.concatenate([sums[l] ^ c, c])
         pos >>= 1
         l += 1
     if l < n:
@@ -297,14 +312,14 @@ def scl_decode_batch(
     frozen = mask.bits
 
     # per-level path state as in SC plus a path axis: llr_lvl[l] and sums[l]
-    # are (B, P, 2**l), or (B, 1, 2**l) for the channel and the levels
+    # are (2**l, B, P), or (2**l, B, 1) for the channel and the levels
     # computed from it alone, one block that every path holds. A fork copies
-    # none of it but re-points it: ptr[l][b*P + p] is the flat row holding
-    # path p's block (None: b*P + p). A read gathers the level and resets its
-    # pointer. No fork re-points a level between its last read and its next
-    # write, so a write, which binds a new array holding every path in order,
-    # always replaces a level whose pointer is already the identity
-    llr_lvl = [None] * n + [llrs[:, None]]
+    # none of it but re-points it: ptr[l][b*P + p] is the column of the level
+    # flattened to (2**l, B*P) holding path p's block (None: b*P + p). A read
+    # gathers the level and resets its pointer. No fork re-points a level
+    # between its last read and its next write, so a write, which binds a new
+    # array holding every path in order, replaces an identity-pointer level
+    llr_lvl = [None] * n + [np.ascontiguousarray(llrs.T)[:, :, None]]
     sums = [None] * n
     llr_ptr = [None] * (n + 1)
     sum_ptr = [None] * n
@@ -317,10 +332,10 @@ def scl_decode_batch(
     fork_bits: list[np.ndarray] = []
 
     def read(bufs, ptr, l):
-        # a (B, 1, .) level is one block that every path holds: no gather
-        if ptr[l] is not None and bufs[l].shape[1] > 1:
-            flat = bufs[l].reshape(B * P, -1)
-            bufs[l] = np.take(flat, ptr[l], axis=0).reshape(bufs[l].shape)
+        # a (., B, 1) level is one block that every path holds: no gather
+        if ptr[l] is not None and bufs[l].shape[2] > 1:
+            flat = bufs[l].reshape(-1, B * P)
+            bufs[l] = np.take(flat, ptr[l], axis=1).reshape(bufs[l].shape)
         ptr[l] = None
 
     for i in range(N):
@@ -335,7 +350,7 @@ def scl_decode_batch(
             read(llr_lvl, llr_ptr, l + 1)
             a, b = _parent_halves(llr_lvl, l)
             llr_lvl[l] = f_func(a, b)
-        leaf = llr_lvl[0][:, :, 0]  # (B, P) or (B, 1)
+        leaf = llr_lvl[0][0]  # (B, P) or (B, 1)
 
         pen0 = penalty(0.0, -leaf)
         if frozen[i]:
@@ -368,7 +383,7 @@ def scl_decode_batch(
         ones = (i ^ (i + 1)).bit_length() - 1  # trailing ones of i
         for l in range(ones):
             read(sums, sum_ptr, l)
-        _propagate_sums(sums, u[:, :, None], i, n)
+        _propagate_sums(sums, u[None], i, n)
 
     # backtrack from the minimum-metric final path (ties: lowest index)
     best = np.argmin(metrics, axis=1)

@@ -192,12 +192,14 @@ def select_shuffle_range(
     candidate_rs: list[int],
     seed: int = 0,
     max_frames: int = 200_000,
+    workers: int = 1,
 ) -> int:
     """Largest candidate r whose pilot max/min FER ratio stays <=
     PILOT_RATIO_TARGET.
 
-    Pilots run at reduced precision (30 frame errors). Falls back to the
-    smallest candidate when every ratio overshoots.
+    Pilots run at reduced precision (30 frame errors), each on `workers`
+    threads. Falls back to the smallest candidate when every ratio
+    overshoots.
     """
     if not candidate_rs or sorted(candidate_rs) != list(candidate_rs):
         raise InvalidArgument("candidate_rs must be non-empty and ascending")
@@ -211,7 +213,8 @@ def select_shuffle_range(
             mask = _shuffled_mask(spec, order, lo, hi, rng)
             mc = MonteCarloConfig(
                 int(np.random.SeedSequence([seed, r, p]).generate_state(1)[0]),
-                target_frame_errors=30, max_frames=max_frames)
+                target_frame_errors=30, max_frames=max_frames,
+                workers=workers)
             try:
                 fers.append(estimate_fer(spec, mask, decoder, channel, mc).fer)
             except PolarLabError as exc:

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarlab.codec import (CodeSpec, DecoderConfig, FrozenMask,
-                            decode_batch, encode, genie_leaf_llrs,
+from polarlab.codec import (CodeSpec, DecoderConfig, FrozenMask, _f_min_sum,
+                            _g, decode_batch, encode, genie_leaf_llrs,
                             polar_transform, sc_decode_batch,
                             scl_decode_batch)
 from polarlab.errors import InvalidArgument
@@ -91,6 +91,59 @@ def test_mask_validate_for():
     with pytest.raises(InvalidArgument):
         FrozenMask([1, 1]).validate_for(CodeSpec(4, 2))
     FrozenMask([1, 1, 0, 0]).validate_for(CodeSpec(4, 2))
+
+
+# LLR values where the sign-bit f and g could part from the float formulas:
+# signed zeros, subnormals, products that underflow or overflow, and equal
+# magnitudes of either sign
+EDGE_LLRS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e-200,
+                      -1e-200, 1e308, -1e308, 1.7976931348623157e308, 1.5,
+                      -1.5, 3.0, -3.0, 0.75])
+
+
+def reference_f(a, b):
+    with np.errstate(over="ignore", under="ignore"):
+        return np.copysign(np.minimum(np.abs(a), np.abs(b)), a * b)
+
+
+def reference_g(a, b, u):
+    with np.errstate(over="ignore"):
+        return b + (1.0 - 2.0 * u) * a
+
+
+def assert_same_bits(x, y):
+    assert x.shape == y.shape
+    assert np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def test_node_functions_match_reference_bits_on_edge_grid():
+    a, b = (v.reshape(16, 4, 4) for v in np.meshgrid(EDGE_LLRS, EDGE_LLRS))
+    assert_same_bits(_f_min_sum(a, b), reference_f(a, b))
+    for u in (np.zeros(a.shape, np.uint8), np.ones(a.shape, np.uint8),
+              (np.arange(a.size) % 3 == 0).astype(np.uint8).reshape(a.shape)):
+        with np.errstate(over="ignore"):
+            assert_same_bits(_g(a, b, u), reference_g(a, b, u))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_node_functions_match_reference_bits_on_decoder_shapes(seed):
+    # the operands the decoders pass: halves of one (2h, B, P) level, or of
+    # a (2h, B, 1) level every path shares, with (h, B, P) partial sums
+    rng = np.random.default_rng(seed)
+    h, B, P = 1 << int(rng.integers(0, 4)), 3, 4
+    vals = np.where(rng.random((2 * h, B, P)) < 0.3,
+                    rng.choice(EDGE_LLRS, (2 * h, B, P)),
+                    rng.normal(0, 4, (2 * h, B, P)))
+    u = (rng.random((h, B, P)) < 0.5).astype(np.uint8)
+    for blk in (vals, vals[:, :, :1].copy()):
+        a, b = blk[:h], blk[h:]
+        assert_same_bits(_f_min_sum(a, b), reference_f(a, b))
+        with np.errstate(over="ignore"):
+            assert_same_bits(_g(a, b, u), reference_g(a, b, u))
+    # a path-wide operand against a shared one
+    a, b = vals[:h], vals[h:, :, :1]
+    assert_same_bits(_f_min_sum(a, b), reference_f(a, b))
 
 
 def test_sc_hand_trace_n2():

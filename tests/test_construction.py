@@ -180,6 +180,34 @@ def test_select_shuffle_range_prefers_largest_within_ratio():
     assert r in (2, 4)
 
 
+def test_select_shuffle_range_is_the_same_at_any_worker_count():
+    spec = CodeSpec(32, 16)
+    order = ga_reliabilities(spec, 2.5)
+    picks = [select_shuffle_range(spec, order, DecoderConfig("scl", 2),
+                                  ChannelConfig(2.5, 0.5), pilot_size=3,
+                                  candidate_rs=[2, 4, 6], seed=1,
+                                  max_frames=30_000, workers=workers)
+             for workers in (1, 2)]
+    assert picks[0] == picks[1]
+
+
+def test_select_shuffle_range_pilots_run_on_the_given_workers(monkeypatch):
+    workers_seen = []
+
+    def estimate(spec, mask, decoder, channel, mc):
+        workers_seen.append(mc.workers)
+        return real_estimate(spec, mask, decoder, channel,
+                             MonteCarloConfig(mc.seed, 1, 64))
+
+    real_estimate = construction.estimate_fer
+    monkeypatch.setattr(construction, "estimate_fer", estimate)
+    spec = CodeSpec(16, 8)
+    select_shuffle_range(spec, ga_reliabilities(spec, 2.0),
+                         DecoderConfig("sc"), ChannelConfig(2.0, 0.5),
+                         pilot_size=2, candidate_rs=[2, 3], workers=3)
+    assert workers_seen == [3] * 4
+
+
 def test_shuffle_config_validation():
     with pytest.raises(InvalidArgument):
         ShuffleConfig(0, 5)
