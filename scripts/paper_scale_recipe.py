@@ -15,11 +15,15 @@ output directory.
 
     python3 scripts/paper_scale_recipe.py --workers 16 --out-dir runs/large
 
-With --skip-existing a stage whose output file is already in --out-dir
-(mask, baseline curve, dataset, model) is skipped. The search and
-validation always re-run, and an interrupted dataset stage starts over: it
-writes its file only when every mask is done. A stage that fails ends the
-recipe with the CLI's exit code.
+With --skip-existing a stage (mask, baseline curve, dataset, model) is
+skipped when its output is already in --out-dir, its `.manifest` records
+every setting the recipe would pass now, and no earlier stage ran in this
+invocation, so a model is never kept over a rebuilt dataset. File paths
+and --threads are not compared (outputs are the same at any worker count),
+nor is the dataset's --range-r, which the pilot derives from the rest. The
+search and validation always re-run, and an interrupted dataset stage
+starts over: it writes its file only when every mask is done. A stage that
+fails ends the recipe with the CLI's exit code.
 """
 
 import argparse
@@ -46,6 +50,30 @@ def _flags(**values) -> list[str]:
     """CLI flags from keyword arguments: range_r=8 -> ['--range-r', '8']."""
     return [token for key, value in values.items()
             for token in ("--" + key.replace("_", "-"), str(value))]
+
+
+# flags --skip-existing does not compare: paths name files in --out-dir,
+# which the recipe chains itself, and outputs are the same at any --threads
+_NOT_COMPARED = ("--out", "--mask", "--dataset", "--threads")
+
+
+def _reusable(output: str, argv: list[str]) -> bool:
+    """Whether output exists and its manifest records argv's command and
+    every compared flag's value."""
+    if not os.path.exists(output):
+        return False
+    try:
+        with open(argv[argv.index("--out") + 1] + ".manifest",
+                  encoding="utf-8") as fh:
+            recorded = dict(line.partition(": ")[::2]
+                            for line in fh.read().splitlines())
+    except OSError:
+        return False
+    wanted = {"command": argv[0]} | {
+        flag[2:].replace("-", "_"): value
+        for flag, value in zip(argv[1::2], argv[2::2])
+        if flag not in _NOT_COMPARED}
+    return all(recorded.get(key) == value for key, value in wanted.items())
 
 
 def main(argv=None) -> int:
@@ -76,32 +104,35 @@ def main(argv=None) -> int:
         print(f"selected shuffle half-width r={range_r}")
         return range_r
 
-    # (output that --skip-existing looks for, CLI argv built when run)
+    # (output that --skip-existing looks for, CLI argv; the dataset stage
+    # gets --range-r only when it runs, as choosing it runs the pilot)
     stages = [
-        (mask, lambda: ["construct", *_flags(n=N, k=K, ebn0=EBN0_DB),
-                        "--out", mask]),
-        (baseline + ".csv", lambda: [
+        (mask, ["construct", *_flags(n=N, k=K, ebn0=EBN0_DB), "--out", mask]),
+        (baseline + ".csv", [
             "simulate", "--mask", mask,
             *_flags(ebn0=EBN0_DB, list_size=LIST_SIZE),
             *mc(TARGET_ERRORS, MAX_FRAMES), "--out", baseline]),
-        (dataset, lambda: [
+        (dataset, [
             "dataset", *_flags(n=N, k=K, ebn0=EBN0_DB, design_ebn0=EBN0_DB,
-                               range_r=shuffle_range(), count_d=DATASET_SIZE,
-                               list_size=LIST_SIZE),
+                               count_d=DATASET_SIZE, list_size=LIST_SIZE),
             *mc(TARGET_ERRORS, MAX_FRAMES), "--out", dataset]),
-        (model, lambda: ["train", "--dataset", dataset,
-                         *_flags(epochs=EPOCHS, seed=args.seed, **MLP),
-                         "--out", model]),
-        (None, lambda: ["search", "--model", model, "--dataset", dataset,
-                        *_flags(**PGD),
-                        *mc(2 * TARGET_ERRORS, 10 * MAX_FRAMES),
-                        "--out", candidates]),
+        (model, ["train", "--dataset", dataset,
+                 *_flags(epochs=EPOCHS, seed=args.seed, **MLP),
+                 "--out", model]),
+        (None, ["search", "--model", model, "--dataset", dataset,
+                *_flags(**PGD), *mc(2 * TARGET_ERRORS, 10 * MAX_FRAMES),
+                "--out", candidates]),
     ]
+    ran = False
     for output, command in stages:
-        if args.skip_existing and output and os.path.exists(output):
+        if (args.skip_existing and not ran and output
+                and _reusable(output, command)):
             print(f"reusing {output}")
             continue
-        code = cli.main(command())
+        if command[0] == "dataset":
+            command += _flags(range_r=shuffle_range())
+        ran = True
+        code = cli.main(command)
         if code:
             return code
     return 0

@@ -13,8 +13,12 @@ min(|a|, |b|), g flips a's sign bit where u = 1 and adds b, which gives the
 bits of copysign(min(|a|, |b|), a * b) and b + (1 - 2u) * a for any finite
 input. SCL adds a path axis and, per level, a path-pointer array, so a fork
 re-points paths (Tal & Vardy's lazy copy) and a level is gathered only when
-read. SC keeps its own loop as the reference that SCL with list size 1 is
-tested against.
+read. A fork keeps the P smallest of 2P candidate metrics, ties to the lower
+fork index. Metrics are +0.0 or more, so their int64 bits order as their
+values: wide forks sort one key per candidate, those bits less the sign bit
+and the low bits, which hold the column; rows whose first P + 1 keys tie
+above the column or hold a NaN take the stable argsort. SC keeps its own
+loop as the reference that SCL with list size 1 is tested against.
 """
 
 from dataclasses import dataclass
@@ -300,7 +304,7 @@ def scl_decode_batch(
 
     Path pruning keeps the list_size smallest metrics with stable order
     (metric ascending, then fork index ascending), so results are fully
-    deterministic.
+    deterministic; `_select` finds them by one sort of exact integer keys.
     """
     mask.validate_for(spec)
     llrs = _checked_llrs(spec, llrs)
@@ -362,7 +366,7 @@ def scl_decode_batch(
             cand = np.empty((B, 2 * P))
             cand[:, 0::2] = metrics + pen0
             cand[:, 1::2] = metrics + penalty(0.0, leaf)
-            order = np.argsort(cand, axis=1, kind="stable")[:, :P]
+            order = _select(cand, P)
             parent = order >> 1
             u = (order & 1).astype(np.uint8)
             metrics = np.take_along_axis(cand, order, axis=1)
@@ -394,6 +398,27 @@ def scl_decode_batch(
         payload[:, j] = np.take_along_axis(fork_bits[j], idx, axis=1)[:, 0]
         idx = np.take_along_axis(fork_parents[j], idx, axis=1)
     return payload
+
+
+_KEY_SORT_MIN_WIDTH = 16  # narrower rows keep the argsort, faster there
+
+
+def _select(cand, P):
+    """Columns of the P smallest entries per row in stable-argsort order,
+    for entries +0.0 or more, +inf or NaN (see the module docstring)."""
+    W = cand.shape[1]
+    if W < _KEY_SORT_MIN_WIDTH:
+        return np.argsort(cand, axis=1, kind="stable")[:, :P]
+    low = (1 << (W - 1).bit_length()) - 1
+    key = cand.view(np.int64) & ((1 << 63) - 1 - low)
+    key |= np.arange(W)
+    key.sort(axis=1)
+    gap = np.bitwise_xor(key[:, 1:P + 1], key[:, :P]).min(axis=1)
+    redo = (gap <= low) | (key[:, P] > (0x7FF << 52 | low))  # NaN: > +inf
+    order = key[:, :P] & low
+    if redo.any():
+        order[redo] = np.argsort(cand[redo], axis=1, kind="stable")[:, :P]
+    return order
 
 
 def _compose(ptr, rows):

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarlab.codec import (CodeSpec, DecoderConfig, FrozenMask, _f_min_sum,
-                            _g, decode_batch, encode, genie_leaf_llrs,
-                            polar_transform, sc_decode_batch,
-                            scl_decode_batch)
+from polarlab import codec
+from polarlab.codec import (_KEY_SORT_MIN_WIDTH, CodeSpec, DecoderConfig,
+                            FrozenMask, _f_min_sum, _g, _select, decode_batch,
+                            encode, genie_leaf_llrs, polar_transform,
+                            sc_decode_batch, scl_decode_batch)
 from polarlab.errors import InvalidArgument
 
 
@@ -289,3 +290,100 @@ def test_scl_noiseless_roundtrip_property(seed):
     llrs = 8.0 * (1.0 - 2.0 * encode(spec, mask, payload))
     cfg = DecoderConfig("scl", 4)
     assert np.array_equal(scl_decode_batch(spec, mask, cfg, llrs), payload)
+
+
+# ---------------------------------------------------------------------------
+# fork selection: _select against the stable argsort it replaces
+
+# NaNs with the lowest and the highest payload; argsort puts every NaN,
+# whatever its sign and payload, last and in column order
+OTHER_NANS = list(np.array([0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF],
+                           np.int64).view(np.float64))
+SELECT_VALUES = np.array([
+    0.0, -0.0, 5e-324, 1e-300, 1.0, np.nextafter(1.0, 2.0),
+    np.nextafter(np.nextafter(1.0, 2.0), 2.0), np.nextafter(1.0, 0.0), 2.5,
+    np.nextafter(2.5, 3.0), 7.0, 1e308, np.finfo(np.float64).max, np.inf,
+    np.nan, np.copysign(np.nan, -1.0), *OTHER_NANS])  # x86: -NaN = inf - inf
+# widths 2P from 2 to 64, on both sides of the key-sort threshold
+SELECT_LISTS = [1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 17, 24, 31, 32]
+
+
+def stable_argsort(cand, P):
+    return np.argsort(cand, axis=1, kind="stable")[:, :P]
+
+
+def select_rows(rng, P, B=24):
+    """Rows of 2P candidates drawn as a decoder could see them, plus the
+    hard cases: exact ties, values one ulp apart, +inf runs, 0.0, NaNs."""
+    W = 2 * P
+    rows = [np.cumsum(rng.exponential(size=W))[rng.permutation(W)],
+            np.round(rng.exponential(size=W) * 2) / 2,
+            np.full(W, 1.0),
+            np.nextafter(1.0, 2.0 + np.arange(W) % 3),
+            np.where(np.arange(W) < 2, rng.exponential(size=W), np.inf),
+            np.where(np.arange(W) % 2, np.inf, 0.0)]
+    # NaNs of distinct payloads, without and with the sign bit
+    payloads = rng.integers(1, 1 << 52, W)
+    rows += [(payloads | 0x7FF << 52).view(np.float64),
+             (payloads | -1 << 52).view(np.float64)]
+    while len(rows) < B:
+        rows.append(np.where(rng.random(W) < 0.5,
+                             rng.choice(SELECT_VALUES, W),
+                             np.cumsum(rng.exponential(size=W))))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("P", SELECT_LISTS)
+def test_select_matches_stable_argsort_on_grid(P):
+    assert 2 * SELECT_LISTS[0] < _KEY_SORT_MIN_WIDTH <= 2 * SELECT_LISTS[-1]
+    cand = select_rows(np.random.default_rng(P), P)
+    assert np.array_equal(_select(cand, P), stable_argsort(cand, P))
+    # and each value next to its neighbours one ulp away, or exactly tied
+    base = np.repeat(np.array([0.0, 1.0, 3.0, 1e300]), 2 * P // 4 + 1)[:2 * P]
+    for cand in (np.stack([base, np.nextafter(base, np.inf)[::-1],
+                           np.sort(base)[::-1]]),
+                 np.nextafter(np.tile(base, (3, 1)), np.inf)):
+        assert np.array_equal(_select(cand, P), stable_argsort(cand, P))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 32), st.integers(0, 2**32 - 1))
+def test_select_matches_stable_argsort(P, seed):
+    rng = np.random.default_rng(seed)
+    W = 2 * P
+    base = rng.choice(SELECT_VALUES, (8, W))
+    ulps = rng.integers(-2, 3, (8, W))  # shift finite values by 0-2 ulp
+    near = base.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2):
+            near = np.where(ulps > 0, np.nextafter(near, np.inf), near)
+            near = np.where(ulps < 0, np.nextafter(near, 0.0), near)
+            ulps -= np.sign(ulps)
+    finite_metrics = np.cumsum(rng.exponential(size=(8, W)), axis=1)
+    cand = np.concatenate([base, near, finite_metrics,
+                           np.round(finite_metrics)])
+    assert np.array_equal(_select(cand, P), stable_argsort(cand, P))
+
+
+@pytest.mark.parametrize("list_size", [8, 16, 32])
+@pytest.mark.parametrize("llr_kind", ["integer", "decimal", "huge"])
+def test_scl_paths_match_stable_argsort_selection(list_size, llr_kind,
+                                                  monkeypatch):
+    # integer LLRs tie metrics exactly; LLRs rounded to 0.1 give metrics
+    # that differ in their last bits only, as sums in another order; and
+    # +-1e308 LLRs overflow g to +-inf and then NaN
+    rng = np.random.default_rng(list_size)
+    spec = CodeSpec(64, 32)
+    bits = np.zeros(64, dtype=np.uint8)
+    bits[rng.permutation(64)[:32]] = 1
+    mask = FrozenMask(bits)
+    cfg = DecoderConfig("scl", list_size)
+    x = 1.0 - 2.0 * encode(spec, mask, rng.integers(0, 2, (64, 32)))
+    noisy = x + rng.normal(0, 0.9, x.shape)
+    llrs = {"integer": np.round(2 * noisy), "decimal": np.round(2 * noisy, 1),
+            "huge": np.where(noisy < 0, -1e308, 1e308)}[llr_kind]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = scl_decode_batch(spec, mask, cfg, llrs)
+        monkeypatch.setattr(codec, "_select", stable_argsort)
+        want = scl_decode_batch(spec, mask, cfg, llrs)
+    assert np.array_equal(got, want)
