@@ -59,6 +59,8 @@ class MonteCarloConfig:
             raise InvalidArgument("max_frames must be >= 1")
         if self.workers < 1:
             raise InvalidArgument("workers must be >= 1")
+        if self.seed < 0:
+            raise InvalidArgument("seed must be >= 0")
 
 
 @dataclass(frozen=True)

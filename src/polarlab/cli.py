@@ -80,6 +80,14 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
+def _convert(o, token: str, source: str):
+    conv = _parse_bool if o.action == "store_true" else o.type
+    try:
+        return conv(token)
+    except (ValueError, InvalidArgument) as exc:
+        raise InvalidArgument(f"{source}: {exc}") from exc
+
+
 def _resolve(args, opts) -> dict:
     """Merge flag > config file > environment > default per option."""
     file_vals = _load_config_file(args.config) if args.config else {}
@@ -88,14 +96,11 @@ def _resolve(args, opts) -> dict:
     for o in opts:
         value = getattr(args, o.dest, None)
         if value is None and o.dest in file_vals:
-            conv = _parse_bool if o.action == "store_true" else o.type
-            try:
-                value = conv(file_vals[o.dest])
-            except (ValueError, InvalidArgument) as exc:
-                raise InvalidArgument(
-                    f"config file value for {o.dest!r}: {exc}") from exc
+            value = _convert(o, file_vals[o.dest],
+                             f"config file value for {o.dest!r}")
         if value is None and o.dest in env_map and env_map[o.dest] in os.environ:
-            value = o.type(os.environ[env_map[o.dest]])
+            value = _convert(o, os.environ[env_map[o.dest]],
+                             f"environment variable {env_map[o.dest]}")
         if value is None:
             value = o.default
         resolved[o.dest] = value
@@ -161,20 +166,16 @@ def _require_code_dims(r):
     return CodeSpec(r["n"], r["k"])
 
 
-def cmd_construct(args, opts):
-    r = _resolve(args, opts)
+def cmd_construct(r):
     spec = _require_code_dims(r)
     order = construction.ga_reliabilities(spec, r["ebn0"])
     mask = construction.build_mask(spec, order)
     io_formats.save_mask(r["out"], spec, mask,
                          {"design_ebn0_db": r["ebn0"], "method": "ga"})
-    _write_manifest(r["out"], "construct", r)
     print(f"wrote GA mask ({r['n']},{r['k']}) at {r['ebn0']} dB -> {r['out']}")
-    return 0
 
 
-def cmd_simulate(args, opts):
-    r = _resolve(args, opts)
+def cmd_simulate(r):
     spec, mask = io_formats.load_mask(r["mask"])
     decoder = _decoder_from(r)
     mc = _mc_from(r)
@@ -188,13 +189,10 @@ def cmd_simulate(args, opts):
     label = f"({spec.n_bits},{spec.k_info}) {decoder.algorithm.upper()}" \
             + (f"-{decoder.list_size}" if decoder.algorithm == "scl" else "")
     csv_path, svg_path = io_formats.emit_fer_curve(points, r["out"], label)
-    _write_manifest(r["out"], "simulate", r)
     print(f"wrote {csv_path} and {svg_path}")
-    return 0
 
 
-def cmd_dataset(args, opts):
-    r = _resolve(args, opts)
+def cmd_dataset(r):
     spec = _require_code_dims(r)
     order = construction.ga_reliabilities(spec, r["design_ebn0"])
     decoder = _decoder_from(r)
@@ -214,15 +212,12 @@ def cmd_dataset(args, opts):
         r["n"], r["k"], decoder.algorithm, decoder.list_size, r["ebn0"],
         r["design_ebn0"], r["range_r"], r["count_d"], r["seed"])
     io_formats.save_dataset(r["out"], header, records)
-    _write_manifest(r["out"], "dataset", r)
     fers = [rec.fer_estimate.fer for rec in records]
     print(f"wrote {len(records)} records -> {r['out']}  "
           f"fer range [{min(fers):.3e}, {max(fers):.3e}]")
-    return 0
 
 
-def cmd_train(args, opts):
-    r = _resolve(args, opts)
+def cmd_train(r):
     _, records = io_formats.load_dataset(r["dataset"])
     mlp = surrogate.MlpConfig(r["depth"], r["hidden"], r["gap"])
     tc = surrogate.TrainConfig(
@@ -234,27 +229,22 @@ def cmd_train(args, opts):
     io_formats.save_model(r["out"], params, standardizer, {
         **dataclasses.asdict(tc), "split": r["split"],
         "dataset": r["dataset"]})
-    _write_manifest(r["out"], "train", r)
     print(f"validation average IOE {report.average_ioe:.4f} "
           f"(worst {report.worst_ioe:.4f}, {report.count} samples); "
           f"constant-predictor IOE {chance.average_ioe:.4f}")
     print(f"wrote model -> {r['out']}")
-    return 0
 
 
-def cmd_eval(args, opts):
-    r = _resolve(args, opts)
+def cmd_eval(r):
     params, standardizer = io_formats.load_model(r["model"])
     _, records = io_formats.load_dataset(r["dataset"])
     report = surrogate.evaluate_ioe(params, standardizer, records)
     chance = surrogate.constant_predictor_ioe(records)
     print(f"average IOE {report.average_ioe:.4f}  worst {report.worst_ioe:.4f}"
           f"  samples {report.count}  chance {chance.average_ioe:.4f}")
-    return 0
 
 
-def cmd_search(args, opts):
-    r = _resolve(args, opts)
+def cmd_search(r):
     params, standardizer = io_formats.load_model(r["model"])
     header, records = io_formats.load_dataset(r["dataset"])
     spec = header.spec
@@ -269,7 +259,6 @@ def cmd_search(args, opts):
     if not reports:
         raise NumericError("every PGD restart aborted; no candidates written")
     io_formats.save_candidates(r["out"], spec, reports)
-    _write_manifest(r["out"], "search", r)
     best_data = min((rec.fer_estimate.fer for rec in records), default=None)
     for rep in reports[:r["topk"]]:
         val = "-" if rep.validated is None else f"{rep.validated.fer:.4e}"
@@ -278,22 +267,18 @@ def cmd_search(args, opts):
     if best_data is not None:
         print(f"best dataset FER for comparison: {best_data:.4e}")
     print(f"wrote {len(reports)} candidates -> {r['out']}")
-    return 0
 
 
-def cmd_plot(args, opts):
-    r = _resolve(args, opts)
+def cmd_plot(r):
     curves = {}
-    for spec_token in args.curve:
+    for spec_token in r["curve"]:
         if "=" in spec_token:
             label, path = spec_token.split("=", 1)
         else:
             label, path = os.path.basename(spec_token), spec_token
         curves[label] = io_formats.load_fer_curve(path)
     io_formats.write_atomic(r["out"], io_formats.render_fer_svg(curves))
-    _write_manifest(r["out"], "plot", r | {"curve": list(args.curve)})
     print(f"wrote {r['out']}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +383,13 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     func, opts = table[args.command]
     try:
-        return func(args, opts)
+        r = _resolve(args, opts)
+        if args.command == "plot":
+            r["curve"] = args.curve  # positional, so not resolved
+        func(r)
+        if "out" in r:  # only after the stage succeeded
+            _write_manifest(r["out"], args.command, r)
+        return 0
     except PolarLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for types, code in _EXIT_CODES

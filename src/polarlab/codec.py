@@ -18,7 +18,8 @@ fork index. Metrics are +0.0 or more, so their int64 bits order as their
 values: wide forks sort one key per candidate, those bits less the sign bit
 and the low bits, which hold the column; rows whose first P + 1 keys tie
 above the column or hold a NaN take the stable argsort. SC keeps its own
-loop as the reference that SCL with list size 1 is tested against.
+loop as the reference that SCL with list size 1 is tested against, and its
+genie_zero mode gives the genie-aided per-position error statistics.
 """
 
 from dataclasses import dataclass
@@ -35,7 +36,6 @@ __all__ = [
     "polar_transform",
     "sc_decode_batch",
     "scl_decode_batch",
-    "genie_leaf_llrs",
 ]
 
 
@@ -150,8 +150,6 @@ def encode(spec: CodeSpec, mask: FrozenMask, payload: np.ndarray) -> np.ndarray:
             f"payload length {payload.shape[-1]} != K {spec.k_info}")
     u = np.zeros(payload.shape[:-1] + (spec.n_bits,), dtype=np.uint8)
     u[..., mask.info_positions()] = payload
-    if spec.n_bits == 1:
-        return u
     return polar_transform(u)
 
 
@@ -270,26 +268,6 @@ def _propagate_sums(sums, u, i, n):
         sums[l] = c
 
 
-def genie_leaf_llrs(spec: CodeSpec, llrs: np.ndarray) -> np.ndarray:
-    """All N leaf LLRs assuming every earlier bit is known to be 0.
-
-    One-pass recursion with the exact (boxplus) f, usable for genie-aided
-    per-bit error statistics under an all-zero codeword: leaf i erred iff
-    result[:, i] < 0.
-    """
-    llrs = _checked_llrs(spec, llrs)
-    out = llrs
-    m = spec.n_bits
-    while m > 1:
-        h = m // 2
-        v = out.reshape(out.shape[0], -1, m)
-        a, b = v[:, :, :h], v[:, :, h:]
-        out = np.concatenate([_f_exact(a, b), a + b],
-                             axis=2).reshape(out.shape[0], -1)
-        m = h
-    return out
-
-
 # ---------------------------------------------------------------------------
 # SCL (batched)
 
@@ -322,7 +300,9 @@ def scl_decode_batch(
     # flattened to (2**l, B*P) holding path p's block (None: b*P + p). A read
     # gathers the level and resets its pointer. No fork re-points a level
     # between its last read and its next write, so a write, which binds a new
-    # array holding every path in order, replaces an identity-pointer level
+    # array holding every path in order, replaces an identity-pointer level.
+    # The f loop's parents were written in the same walk, after the last
+    # fork, so only g's parent and the partial sums are read
     llr_lvl = [None] * n + [np.ascontiguousarray(llrs.T)[:, :, None]]
     sums = [None] * n
     llr_ptr = [None] * (n + 1)
@@ -351,7 +331,6 @@ def scl_decode_batch(
             a, b = _parent_halves(llr_lvl, top)
             llr_lvl[top] = _g(a, b, sums[top])
         for l in range(top - 1, -1, -1):
-            read(llr_lvl, llr_ptr, l + 1)
             a, b = _parent_halves(llr_lvl, l)
             llr_lvl[l] = f_func(a, b)
         leaf = llr_lvl[0][0]  # (B, P) or (B, 1)

@@ -67,6 +67,8 @@ class ShuffleConfig:
             raise InvalidArgument("range_r must be >= 1")
         if self.count_d < 1:
             raise InvalidArgument("count_d must be >= 1")
+        if self.seed < 0:
+            raise InvalidArgument("seed must be >= 0")
 
 
 @dataclass

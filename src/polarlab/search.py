@@ -45,6 +45,10 @@ class PgdConfig:
             raise InvalidArgument("step_mu must be >= 0")
         if self.restarts < 1:
             raise InvalidArgument("restarts must be >= 1")
+        if self.seed < 0:
+            raise InvalidArgument("seed must be >= 0")
+        if self.top_k < 0:
+            raise InvalidArgument("top_k must be >= 0")
 
 
 @dataclass

@@ -143,6 +143,8 @@ class TrainConfig:
             raise InvalidArgument("dropout_p must be in [0, 1)")
         if self.mixup_alpha < 0.0:
             raise InvalidArgument("mixup_alpha must be >= 0")
+        if self.seed < 0:
+            raise InvalidArgument("seed must be >= 0")
 
 
 @dataclass
@@ -218,9 +220,7 @@ def _forward_cached(config, params, x, training=False, dropout_p=0.0,
     cache = {"zs": [], "bn": [], "drop_masks": [None] * (L + 1)}
     acts = [x]
     if drop:
-        m0 = rng.random(x.shape) >= dropout_p
-        cache["drop_masks"][0] = m0
-        acts = [x * m0 / (1.0 - dropout_p)]
+        acts = [x * (rng.random(x.shape) >= dropout_p) / (1.0 - dropout_p)]
     for l in range(L):
         z = acts[l] @ params.weights[l] + params.biases[l]
         bn_cache = None
@@ -253,7 +253,8 @@ def _forward_cached(config, params, x, training=False, dropout_p=0.0,
 
 
 def _backward_cached(config, params, cache, d_out, dropout_p=0.0):
-    """Reverse pass; returns (weight grads, bias grads, bn grads, input grad)."""
+    """Reverse pass; returns (weight grads, bias grads, bn grads, input grad).
+    The input grad skips input dropout, which only `train` sets."""
     L = config.depth_l
     acts = cache["acts"]
     d_acts = [np.zeros_like(a) for a in acts]
@@ -285,10 +286,7 @@ def _backward_cached(config, params, cache, d_out, dropout_p=0.0):
         dW[l] = acts[l].T @ dz
         db[l] = dz.sum(axis=0)
         d_acts[l] += dz @ params.weights[l].T
-    d_in = d_acts[0]
-    if cache["drop_masks"][0] is not None:
-        d_in = d_in * cache["drop_masks"][0] / (1.0 - dropout_p)
-    return dW, db, dgamma, dbeta, d_in
+    return dW, db, dgamma, dbeta, d_acts[0]
 
 
 def forward(config: MlpConfig, params: MlpParams, x: np.ndarray) -> np.ndarray:

@@ -17,8 +17,8 @@ from scipy.stats import spearmanr
 from polarlab.channel import (ChannelConfig, FerEstimate, MonteCarloConfig,
                               estimate_fer, transmit, _batch_rng)
 from polarlab.codec import (CodeSpec, DecoderConfig, FrozenMask, encode,
-                            genie_leaf_llrs, polar_transform,
-                            sc_decode_batch, scl_decode_batch)
+                            polar_transform, sc_decode_batch,
+                            scl_decode_batch)
 from polarlab.construction import (DatasetRecord, ShuffleConfig, build_mask,
                                    ga_reliabilities, generate_dataset)
 from polarlab.search import PgdConfig, search_and_validate
@@ -83,6 +83,7 @@ def test_criterion_3_full_list_scl_is_ml():
 def test_criterion_4_ga_fidelity():
     spec = CodeSpec(64, 32)
     order = ga_reliabilities(spec, 2.0)
+    mask = build_mask(spec, order)  # genie mode decodes every position
     ch = ChannelConfig(2.0, 0.5)
     counts = np.zeros(64)
     frames = 100_000
@@ -90,7 +91,8 @@ def test_criterion_4_ga_fidelity():
     for b in range(frames // chunk):
         rng = _batch_rng(4, b)
         llrs = transmit(np.zeros((chunk, 64), dtype=np.uint8), ch, rng)
-        counts += (genie_leaf_llrs(spec, llrs) < 0).sum(axis=0)
+        counts += sc_decode_batch(spec, mask, llrs, "exact_f",
+                                  genie_zero=True).sum(axis=0)
     err_rates = counts / frames
     rho = spearmanr(order.reliabilities, -err_rates).statistic
     assert rho > 0.9, rho

@@ -198,6 +198,35 @@ def test_environment_seed_override(tmp_path, mask_file, monkeypatch):
         (tmp_path / "flag.csv").read_bytes()
 
 
+@pytest.mark.parametrize("variable", ["POLARLAB_SEED", "POLARLAB_THREADS"])
+def test_non_integer_environment_value_is_a_usage_error(
+        tmp_path, mask_file, monkeypatch, capsys, variable):
+    monkeypatch.setenv(variable, "abc")
+    assert run("simulate", "--mask", mask_file, "--ebn0", "2.0",
+               "--out", str(tmp_path / "env")) == 2
+    assert variable in capsys.readouterr().err
+    assert not list(tmp_path.glob("env*"))
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, mask_file, dataset_file):
+    model = str(tmp_path / "model.txt")
+    assert run("train", "--dataset", dataset_file, "--epochs", "2",
+               "--hidden", "8", "--depth", "2", "--gap", "1",
+               "--out", model) == 0
+    inputs = {
+        "simulate": ["--mask", mask_file, "--ebn0", "2.0"],
+        "dataset": ["--n", "16", "--k", "8", "--range-r", "2",
+                    "--count-d", "3"],
+        "train": ["--dataset", dataset_file],
+        "search": ["--model", model, "--dataset", dataset_file],
+    }
+    for command, args in inputs.items():
+        out = tmp_path / f"{command}-out"
+        assert run(command, *args, "--seed", "-1", "--out", str(out)) == 2, \
+            command
+        assert not list(tmp_path.glob(f"{command}-out*")), command
+
+
 def test_manifest_echoes_resolved_config(tmp_path, mask_file):
     prefix = str(tmp_path / "m")
     assert run("simulate", "--mask", mask_file, "--ebn0", "2.0",

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from polarlab import codec
 from polarlab.codec import (_KEY_SORT_MIN_WIDTH, CodeSpec, DecoderConfig,
                             FrozenMask, _f_min_sum, _g, _select, decode_batch,
-                            encode, genie_leaf_llrs, polar_transform,
-                            sc_decode_batch, scl_decode_batch)
+                            encode, polar_transform, sc_decode_batch,
+                            scl_decode_batch)
 from polarlab.errors import InvalidArgument
 
 
@@ -239,16 +239,6 @@ def test_scl_fer_improves_with_list_size():
     assert fers[1] < fers[0]
 
 
-def test_genie_leaf_llrs_matches_sc_genie_mode():
-    spec = CodeSpec(16, 8)
-    mask = FrozenMask(np.array([1] * 8 + [0] * 8, dtype=np.uint8))
-    rng = np.random.default_rng(5)
-    llrs = rng.normal(1.5, 1.0, (128, 16))  # all-zero codeword channel
-    fast = genie_leaf_llrs(spec, llrs) < 0
-    slow = sc_decode_batch(spec, mask, llrs, "exact_f", genie_zero=True)
-    assert np.array_equal(fast.astype(np.uint8), slow)
-
-
 def test_decode_batch_dispatch():
     spec = CodeSpec(8, 4)
     mask = FrozenMask([1, 1, 1, 0, 1, 0, 0, 0])
@@ -265,17 +255,14 @@ def test_decode_batch_dispatch():
 def test_decoders_reject_nonfinite_llrs():
     spec = CodeSpec(4, 2)
     mask = FrozenMask([1, 1, 0, 0])
-    # non-finite values, and a 1-D array where a (B, N) batch is expected
+    # non-finite values, a 1-D array where a (B, N) batch is expected, and
+    # 8 LLRs per frame for N=4
     for bad in (np.array([[1.0, np.inf, 0.0, -1.0]]),
-                np.array([1.0, 2.0, 0.0, -1.0])):
+                np.array([1.0, 2.0, 0.0, -1.0]), np.ones((2, 8))):
         with pytest.raises(InvalidArgument):
             sc_decode_batch(spec, mask, bad)
         with pytest.raises(InvalidArgument):
             scl_decode_batch(spec, mask, DecoderConfig("scl", 2), bad)
-        with pytest.raises(InvalidArgument):
-            genie_leaf_llrs(spec, bad)
-    with pytest.raises(InvalidArgument):  # 8 LLRs per frame for N=4
-        genie_leaf_llrs(spec, np.ones((2, 8)))
 
 
 @settings(max_examples=25, deadline=None)

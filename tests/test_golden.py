@@ -12,6 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from polarlab import cli
 from polarlab.channel import ChannelConfig, MonteCarloConfig, estimate_fer
 from polarlab.codec import (CodeSpec, DecoderConfig, FrozenMask,
                             sc_decode_batch, scl_decode_batch)
@@ -133,3 +134,27 @@ def test_estimate_fer_pins(n, k, config, ebn0_db, mc, expected):
     mask = build_mask(spec, ga_reliabilities(spec, 3.2))
     est = estimate_fer(spec, mask, config, ChannelConfig(ebn0_db, spec.rate), mc)
     assert (est.fer, est.frames, est.frame_errors) == expected
+
+
+DATASET_STAGE_SHA256 = {
+    "mask.txt": "cee562d37ddd21b48db7f481e6b225a2075d848be18f7e8be67a56b0527c05dd",
+    "dataset.txt": "3d89915a7861ccbf91e6e4ef7dff7ffb02850392dae1591038a1639990be8682",
+}
+
+
+def test_dataset_stage_digests(tmp_path, monkeypatch):
+    """The construct and dataset stages end to end at (32,16) SCL-4: the
+    per-mask seeds, the dedup (24 shuffles give 19 masks) and the writers.
+    Model and candidate files are not pinned: their matmuls round
+    differently on different BLAS builds."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["construct", "--n", "32", "--k", "16", "--ebn0", "3.0",
+                     "--out", "mask.txt"]) == 0
+    assert cli.main(["dataset", "--n", "32", "--k", "16", "--ebn0", "3.0",
+                     "--design-ebn0", "3.0", "--range-r", "4",
+                     "--count-d", "24", "--list-size", "4",
+                     "--target-errors", "20", "--max-frames", "20000",
+                     "--seed", "3", "--out", "dataset.txt"]) == 0
+    for name, digest in DATASET_STAGE_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
+            == digest, name

@@ -158,6 +158,10 @@ def test_pgd_config_validation():
         PgdConfig(step_mu=-0.1)
     with pytest.raises(InvalidArgument):
         PgdConfig(restarts=0)
+    with pytest.raises(InvalidArgument):
+        PgdConfig(seed=-1)
+    with pytest.raises(InvalidArgument):  # ranked[:-1] would skip the last
+        PgdConfig(top_k=-1)
 
 
 def test_search_and_validate_orders_and_dedupes():
