@@ -10,7 +10,7 @@ decided from cumulative counts in batch order only.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,8 +59,14 @@ class MonteCarloConfig:
             raise InvalidArgument("max_frames must be >= 1")
         if self.workers < 1:
             raise InvalidArgument("workers must be >= 1")
-        if self.seed < 0:
-            raise InvalidArgument("seed must be >= 0")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidArgument("seed must be in [0, 2**64)")
+
+    def derive(self, *keys: int) -> "MonteCarloConfig":
+        """This config under the child seed that (seed, *keys) spawns, so
+        each job of a stage draws its own streams."""
+        seq = np.random.SeedSequence([self.seed, *keys])
+        return replace(self, seed=int(seq.generate_state(1)[0]))
 
 
 @dataclass(frozen=True)

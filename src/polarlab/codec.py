@@ -11,15 +11,18 @@ each folded partial-sum block is bound to its level as a new array. f and g
 work on sign bits: f ORs the XOR of the operands' sign bits into
 min(|a|, |b|), g flips a's sign bit where u = 1 and adds b, which gives the
 bits of copysign(min(|a|, |b|), a * b) and b + (1 - 2u) * a for any finite
-input. SCL adds a path axis and, per level, a path-pointer array, so a fork
-re-points paths (Tal & Vardy's lazy copy) and a level is gathered only when
-read. A fork keeps the P smallest of 2P candidate metrics, ties to the lower
-fork index. Metrics are +0.0 or more, so their int64 bits order as their
-values: wide forks sort one key per candidate, those bits less the sign bit
-and the low bits, which hold the column; rows whose first P + 1 keys tie
-above the column or hold a NaN take the stable argsort. SC keeps its own
-loop as the reference that SCL with list size 1 is tested against, and its
-genie_zero mode gives the genie-aided per-position error statistics.
+input. SC and SCL share one g/f descent. SCL adds a path axis and one
+path-pointer array per level index l, which serves LLR level l + 1 while
+bit l of the position is clear and the partial sums at level l while it is
+set, so a fork re-points paths (Tal & Vardy's lazy copy) and a level is
+gathered only when read. A fork keeps the P smallest of 2P candidate
+metrics, ties to the lower fork index. Metrics are +0.0 or more, so their
+int64 bits order as their values: wide forks sort one key per candidate,
+those bits less the sign bit and the low bits, which hold the column; rows
+whose first P + 1 keys tie above the column or hold a NaN take the stable
+argsort. SC keeps its own decision loop as the reference that SCL with
+list size 1 is tested against, and its genie_zero mode gives the
+genie-aided per-position error statistics.
 """
 
 from dataclasses import dataclass
@@ -225,15 +228,7 @@ def sc_decode_batch(
     frozen = mask.bits
 
     for i in range(N):
-        top = n
-        if i:
-            top = (i & -i).bit_length() - 1  # trailing zeros
-            a, b = _parent_halves(llr_lvl, top)
-            llr_lvl[top] = _g(a, b, sums[top])
-        for l in range(top - 1, -1, -1):
-            a, b = _parent_halves(llr_lvl, l)
-            llr_lvl[l] = f_func(a, b)
-        leaf = llr_lvl[0][0]
+        leaf = _descend(llr_lvl, sums, i, n, f_func)
         if genie_zero:
             errs[:, i] = leaf < 0
             u = np.zeros(B, dtype=np.uint8)
@@ -242,30 +237,40 @@ def sc_decode_batch(
         else:
             u = (leaf < 0).astype(np.uint8)
         u_hat[:, i] = u
-        _propagate_sums(sums, u[None], i, n)
+        if i < N - 1:  # the last bit's fold feeds no later position
+            _propagate_sums(sums, u[None], i)
 
     if genie_zero:
         return errs
     return u_hat[:, mask.info_positions()]
 
 
-def _parent_halves(llr_lvl, l):
-    """Halves of the level-(l+1) block feeding the level-l computation."""
-    h = 1 << l
-    blk = llr_lvl[l + 1]
-    return blk[:h], blk[h:]
+def _descend(llr_lvl, sums, i, n, f_func):
+    """Position i's g at its trailing-zeros level (none at i = 0), then f
+    down to the leaf; returns the leaf row. Level l's new block is computed
+    from the two halves of level l + 1's."""
+    top = n
+    if i:
+        top = (i & -i).bit_length() - 1  # trailing zeros
+        h = 1 << top
+        blk = llr_lvl[top + 1]
+        llr_lvl[top] = _g(blk[:h], blk[h:], sums[top])
+    for l in range(top - 1, -1, -1):
+        h = 1 << l
+        blk = llr_lvl[l + 1]
+        llr_lvl[l] = f_func(blk[:h], blk[h:])
+    return llr_lvl[0][0]
 
 
-def _propagate_sums(sums, u, i, n):
-    """Fold the decided bit into the partial-codeword stacks."""
+def _propagate_sums(sums, u, i):
+    """Fold the decided bit i (not the last) into the partial-sum stacks."""
     c = u
     pos, l = i, 0
     while pos & 1:
         c = np.concatenate([sums[l] ^ c, c])
         pos >>= 1
         l += 1
-    if l < n:
-        sums[l] = c
+    sums[l] = c
 
 
 # ---------------------------------------------------------------------------
@@ -296,17 +301,21 @@ def scl_decode_batch(
     # per-level path state as in SC plus a path axis: llr_lvl[l] and sums[l]
     # are (2**l, B, P), or (2**l, B, 1) for the channel and the levels
     # computed from it alone, one block that every path holds. A fork copies
-    # none of it but re-points it: ptr[l][b*P + p] is the column of the level
-    # flattened to (2**l, B*P) holding path p's block (None: b*P + p). A read
-    # gathers the level and resets its pointer. No fork re-points a level
-    # between its last read and its next write, so a write, which binds a new
-    # array holding every path in order, replaces an identity-pointer level.
-    # The f loop's parents were written in the same walk, after the last
-    # fork, so only g's parent and the partial sums are read
+    # none of it but re-points it: ptr[l][b*P + p] is the column of a level
+    # flattened to (., B*P) holding path p's block (None: b*P + p). ptr[l]
+    # serves two levels in turn. While bit l of the position is clear it
+    # points into LLR level l + 1, which g reads when the bit sets; while
+    # the bit is set it points into the partial sums at level l, which the
+    # carry out of bit l folds. Each is read at the end of its span, which
+    # gathers it and resets ptr[l], and the other is written, as a new array
+    # holding every path in order, under that identity pointer. The f loop
+    # reads what the same descent wrote, and g reads partial sums written
+    # after the last fork, so neither needs a read. ptr[n - 1] never
+    # gathers: its LLR level is the channel, and only g at N/2 reads its
+    # partial sums, before any fork
     llr_lvl = [None] * n + [np.ascontiguousarray(llrs.T)[:, :, None]]
     sums = [None] * n
-    llr_ptr = [None] * (n + 1)
-    sum_ptr = [None] * n
+    ptr = [None] * n
     metrics = np.full((B, P), np.inf)
     metrics[:, 0] = 0.0
     row0 = np.arange(B)[:, None] * P
@@ -315,25 +324,16 @@ def scl_decode_batch(
     fork_parents: list[np.ndarray] = []
     fork_bits: list[np.ndarray] = []
 
-    def read(bufs, ptr, l):
-        # a (., B, 1) level is one block that every path holds: no gather
-        if ptr[l] is not None and bufs[l].shape[2] > 1:
+    def read(bufs, l, k):
+        # gather level l through ptr[k]; a (., B, 1) level is one block that
+        # every path holds: no gather
+        if ptr[k] is not None and bufs[l].shape[2] > 1:
             flat = bufs[l].reshape(-1, B * P)
-            bufs[l] = np.take(flat, ptr[l], axis=1).reshape(bufs[l].shape)
-        ptr[l] = None
+            bufs[l] = np.take(flat, ptr[k], axis=1).reshape(bufs[l].shape)
+        ptr[k] = None
 
     for i in range(N):
-        top = n
-        if i:
-            top = (i & -i).bit_length() - 1
-            read(llr_lvl, llr_ptr, top + 1)
-            read(sums, sum_ptr, top)
-            a, b = _parent_halves(llr_lvl, top)
-            llr_lvl[top] = _g(a, b, sums[top])
-        for l in range(top - 1, -1, -1):
-            a, b = _parent_halves(llr_lvl, l)
-            llr_lvl[l] = f_func(a, b)
-        leaf = llr_lvl[0][0]  # (B, P) or (B, 1)
+        leaf = _descend(llr_lvl, sums, i, n, f_func)  # (B, P) or (B, 1)
 
         pen0 = penalty(0.0, -leaf)
         if frozen[i]:
@@ -351,22 +351,16 @@ def scl_decode_batch(
             metrics = np.take_along_axis(cand, order, axis=1)
             fork_parents.append(parent)
             fork_bits.append(u)
+            # each new path reads what its parent row read
             rows = (row0 + parent).ravel()
-            # re-point only the state a later bit can still read before it
-            # is rewritten: LLR level l when this position sits in the f
-            # half of its level-(l-1) pair, partial sums at level l once the
-            # left sibling codeword is stored (bit l of i set)
-            for l in range(1, n):
-                if not (i >> (l - 1)) & 1:
-                    llr_ptr[l] = _compose(llr_ptr[l], rows)
-            for l in range(n):
-                if (i >> l) & 1:
-                    sum_ptr[l] = _compose(sum_ptr[l], rows)
+            ptr = [rows if p is None else p[rows] for p in ptr]
 
         ones = (i ^ (i + 1)).bit_length() - 1  # trailing ones of i
-        for l in range(ones):
-            read(sums, sum_ptr, l)
-        _propagate_sums(sums, u[None], i, n)
+        if ones < n:  # the last bit's fold feeds no later position
+            for l in range(ones):
+                read(sums, l, l)
+            _propagate_sums(sums, u[None], i)
+            read(llr_lvl, ones + 1, ones)  # the parent of position i+1's g
 
     # backtrack from the minimum-metric final path (ties: lowest index)
     best = np.argmin(metrics, axis=1)
@@ -398,11 +392,6 @@ def _select(cand, P):
     if redo.any():
         order[redo] = np.argsort(cand[redo], axis=1, kind="stable")[:, :P]
     return order
-
-
-def _compose(ptr, rows):
-    """Pointer after a fork: each new path reads what its parent row read."""
-    return rows if ptr is None else ptr[rows]
 
 
 def decode_batch(spec: CodeSpec, mask: FrozenMask, config: DecoderConfig,

@@ -171,11 +171,8 @@ def generate_dataset(
 
     records = []
     for i, mask in enumerate(unique.values()):
-        seed = int(np.random.SeedSequence([mc.seed, i]).generate_state(1)[0])
-        per_record = MonteCarloConfig(seed, mc.target_frame_errors,
-                                      mc.max_frames, mc.workers)
         try:
-            est = estimate_fer(spec, mask, decoder, channel, per_record)
+            est = estimate_fer(spec, mask, decoder, channel, mc.derive(i))
         except PolarLabError as exc:
             log.warning("skipping mask %d: simulation failed (%s)", i, exc)
         else:
@@ -205,6 +202,8 @@ def select_shuffle_range(
     """
     if not candidate_rs or sorted(candidate_rs) != list(candidate_rs):
         raise InvalidArgument("candidate_rs must be non-empty and ascending")
+    pilot_mc = MonteCarloConfig(seed, target_frame_errors=30,
+                                max_frames=max_frames, workers=workers)
     best = None
     any_pilot = False
     for r in candidate_rs:
@@ -213,10 +212,7 @@ def select_shuffle_range(
         for p in range(pilot_size):
             rng = np.random.default_rng([seed, r, p])
             mask = _shuffled_mask(spec, order, lo, hi, rng)
-            mc = MonteCarloConfig(
-                int(np.random.SeedSequence([seed, r, p]).generate_state(1)[0]),
-                target_frame_errors=30, max_frames=max_frames,
-                workers=workers)
+            mc = pilot_mc.derive(r, p)
             try:
                 fers.append(estimate_fer(spec, mask, decoder, channel, mc).fer)
             except PolarLabError as exc:

@@ -181,11 +181,9 @@ def search_and_validate(
                     key=lambda r: (r.predicted_fer, r.restart_index))
 
     for rank, rep in enumerate(ranked[:config.top_k]):
-        seed = int(np.random.SeedSequence([mc.seed, rank]).generate_state(1)[0])
-        per = MonteCarloConfig(seed, mc.target_frame_errors, mc.max_frames,
-                               mc.workers)
         try:
-            rep.validated = estimate_fer(spec, rep.mask, decoder, channel, per)
+            rep.validated = estimate_fer(spec, rep.mask, decoder, channel,
+                                         mc.derive(rank))
         except PolarLabError as exc:
             log.warning("validation of candidate %d failed: %s", rank, exc)
 

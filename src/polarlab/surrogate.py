@@ -253,16 +253,15 @@ def _forward_cached(config, params, x, training=False, dropout_p=0.0,
 
 
 def _backward_cached(config, params, cache, d_out, dropout_p=0.0):
-    """Reverse pass; returns (weight grads, bias grads, bn grads, input grad).
-    The input grad skips input dropout, which only `train` sets."""
+    """Reverse pass; returns the input grad and, per layer, the pair (grad at
+    the BatchNorm output, grad at the linear output), one array twice where
+    the layer has no BatchNorm. The input grad skips input dropout, which
+    only `train` sets."""
     L = config.depth_l
     acts = cache["acts"]
     d_acts = [np.zeros_like(a) for a in acts]
     d_acts[L] = np.asarray(d_out, dtype=np.float64).reshape(-1, 1)
-    dW = [None] * L
-    db = [None] * L
-    dgamma = [None] * (L - 1)
-    dbeta = [None] * (L - 1)
+    deltas = [None] * L
     for l in range(L - 1, -1, -1):
         dh = d_acts[l + 1]
         mask = cache["drop_masks"][l + 1]
@@ -271,22 +270,20 @@ def _backward_cached(config, params, cache, d_out, dropout_p=0.0):
         if config.has_shortcut_into(l + 1):
             d_acts[l + 1 - config.shortcut_g] += dh
         z = cache["zs"][l]
-        dz = dh if l == L - 1 else dh * (z > 0)
+        dy = dh if l == L - 1 else dh * (z > 0)
+        dz = dy
         bn_cache = cache["bn"][l]
         if bn_cache is not None:
             z_hat, inv_std, trained = bn_cache
-            dgamma[l] = (dz * z_hat).sum(axis=0)
-            dbeta[l] = dz.sum(axis=0)
             if trained:
-                dzh = dz * params.bn_gamma[l]
+                dzh = dy * params.bn_gamma[l]
                 dz = inv_std * (dzh - dzh.mean(axis=0)
                                 - z_hat * (dzh * z_hat).mean(axis=0))
             else:
-                dz = dz * params.bn_gamma[l] * inv_std
-        dW[l] = acts[l].T @ dz
-        db[l] = dz.sum(axis=0)
+                dz = dy * params.bn_gamma[l] * inv_std
+        deltas[l] = (dy, dz)
         d_acts[l] += dz @ params.weights[l].T
-    return dW, db, dgamma, dbeta, d_acts[0]
+    return d_acts[0], deltas
 
 
 def forward(config: MlpConfig, params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -313,11 +310,15 @@ def _mse_step(config, params, x, target, training=False, dropout_p=0.0,
     (loss, param grads in params.trainables() order, input grad)."""
     y, cache = _forward_cached(config, params, x, training, dropout_p, rng)
     resid = y - target
-    dW, db, dgamma, dbeta, d_in = _backward_cached(
+    d_in, deltas = _backward_cached(
         config, params, cache, 2.0 * resid / resid.size, dropout_p)
-    grads = dW + db
+    grads = [a.T @ dz for a, (_, dz) in zip(cache["acts"], deltas)]
+    grads += [dz.sum(axis=0) for _, dz in deltas]
     if params.uses_batchnorm:
-        grads += dgamma + dbeta
+        hidden = deltas[:-1]  # BatchNorm sits on every hidden layer
+        grads += [(dy * z_hat).sum(axis=0)
+                  for (dy, _), (z_hat, _, _) in zip(hidden, cache["bn"])]
+        grads += [dy.sum(axis=0) for dy, _ in hidden]
     return float(np.mean(resid ** 2)), grads, d_in
 
 
@@ -326,8 +327,7 @@ def output_and_input_gradient(config: MlpConfig, params: MlpParams,
     """Network outputs and d(output_i)/d(x_i) per row (evaluation mode)."""
     x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y, cache = _forward_cached(config, params, x2)
-    _, _, _, _, d_in = _backward_cached(config, params, cache,
-                                        np.ones_like(y))
+    d_in, _ = _backward_cached(config, params, cache, np.ones_like(y))
     if np.asarray(x).ndim == 1:
         return y[0], d_in[0]
     return y, d_in

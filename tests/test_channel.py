@@ -117,8 +117,19 @@ def test_fer_estimate_bookkeeping():
 
 
 def test_mc_config_validation():
+    # Philox takes a 64-bit key: a larger seed would alias seed mod 2**64
     for bad in (dict(target_frame_errors=0), dict(max_frames=0),
-                dict(workers=0)):
+                dict(workers=0), dict(seed=-1), dict(seed=2**64),
+                dict(seed=5 + 2**64)):
         with pytest.raises(InvalidArgument):
-            MonteCarloConfig(0, **{"target_frame_errors": 100,
-                                   "max_frames": 1000, "workers": 1, **bad})
+            MonteCarloConfig(**{"seed": 0, "target_frame_errors": 100,
+                                "max_frames": 1000, "workers": 1, **bad})
+    assert MonteCarloConfig(2**64 - 1).seed == 2**64 - 1
+
+
+def test_mc_config_derive_spawns_a_child_seed():
+    mc = MonteCarloConfig(7, 50, 4096, workers=3)
+    child = mc.derive(2, 5)
+    expected = np.random.SeedSequence([7, 2, 5]).generate_state(1)[0]
+    assert child == MonteCarloConfig(int(expected), 50, 4096, workers=3)
+    assert mc.derive(2, 5) == child and mc.derive(5, 2) != child

@@ -227,6 +227,14 @@ def test_negative_seed_is_a_usage_error(tmp_path, mask_file, dataset_file):
         assert not list(tmp_path.glob(f"{command}-out*")), command
 
 
+def test_seed_beyond_64_bits_is_a_usage_error(tmp_path, mask_file):
+    # 5 + 2**64 would key the same Monte Carlo streams as --seed 5
+    out = tmp_path / "fer"
+    assert run("simulate", "--mask", mask_file, "--ebn0", "2.0",
+               "--seed", str(5 + 2**64), "--out", str(out)) == 2
+    assert not list(tmp_path.glob("fer*"))
+
+
 def test_manifest_echoes_resolved_config(tmp_path, mask_file):
     prefix = str(tmp_path / "m")
     assert run("simulate", "--mask", mask_file, "--ebn0", "2.0",
