@@ -39,6 +39,13 @@ class ChannelConfig:
     def __post_init__(self):
         if not 0.0 < self.rate <= 1.0:
             raise InvalidArgument(f"rate must be in (0, 1], got {self.rate}")
+        try:
+            sigma2 = self.noise_variance
+        except (OverflowError, ZeroDivisionError):
+            sigma2 = math.nan
+        if not 0.0 < sigma2 < math.inf:  # false for a NaN or infinite Eb/N0
+            raise InvalidArgument(f"Eb/N0 {self.ebn0_db} dB gives no finite, "
+                                  f"positive noise variance")
 
     @property
     def noise_variance(self) -> float:
@@ -78,8 +85,11 @@ class FerEstimate:
     ci_halfwidth: float
 
     def __post_init__(self):
-        if not 0.0 <= self.fer <= 1.0 or self.frame_errors > self.frames:
-            raise InvalidArgument("inconsistent FER estimate fields")
+        if not 0 <= self.frame_errors <= self.frames or self.frames < 1:
+            raise InvalidArgument("FER estimate counts out of range")
+        p = self.frame_errors / self.frames
+        if (self.fer, self.ci_halfwidth) != (p, _halfwidth(p, self.frames)):
+            raise InvalidArgument("fer or ci_halfwidth disagrees with counts")
 
     @staticmethod
     def from_counts(frame_errors: int, frames: int,
@@ -87,8 +97,13 @@ class FerEstimate:
         if frames < 1:
             raise InvalidState("no frames simulated")
         p = frame_errors / frames
-        half = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / frames)
-        return FerEstimate(p, frames, frame_errors, ebn0_db, half)
+        return FerEstimate(p, frames, frame_errors, ebn0_db,
+                           _halfwidth(p, frames))
+
+
+def _halfwidth(p: float, frames: int) -> float:
+    """The 95% normal-approximation confidence half-width of a FER p."""
+    return 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / frames)
 
 
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:

@@ -14,6 +14,7 @@ simulation failure.
 import argparse
 import dataclasses
 import logging
+import math
 import os
 import sys
 
@@ -120,17 +121,25 @@ def _write_manifest(out_path: str, command: str, resolved: dict) -> None:
 
 def _parse_ebn0_list(token: str) -> list[float]:
     """'a:b:step' sweep (inclusive) or comma-separated values."""
-    if ":" in token:
-        parts = token.split(":")
-        if len(parts) != 3:
-            raise InvalidArgument("sweep must be start:stop:step")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise InvalidArgument("sweep needs step > 0 and stop >= start")
-        count = int(round((stop - start) / step)) + 1
-        return [start + i * step for i in range(count)
-                if start + i * step <= stop + 1e-9]
-    return [float(p) for p in token.split(",") if p.strip()]
+    sweep = ":" in token
+    try:
+        values = [float(p) for p in token.split(":" if sweep else ",")
+                  if sweep or p.strip()]
+    except ValueError:
+        raise InvalidArgument(f"--ebn0: not a number in {token!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise InvalidArgument(f"--ebn0: values must be finite, got {token!r}")
+    if not sweep:
+        return values
+    if len(values) != 3:
+        raise InvalidArgument("--ebn0: sweep must be start:stop:step")
+    start, stop, step = values
+    if not (step > 0 and stop >= start and (stop - start) / step < 1e6):
+        raise InvalidArgument("--ebn0: sweep needs step > 0, stop >= start "
+                              "and fewer than a million points")
+    count = int(round((stop - start) / step)) + 1
+    return [start + i * step for i in range(count)
+            if start + i * step <= stop + 1e-9]
 
 
 def _decoder_from(resolved) -> DecoderConfig:

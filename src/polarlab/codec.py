@@ -12,10 +12,10 @@ work on sign bits: f ORs the XOR of the operands' sign bits into
 min(|a|, |b|), g flips a's sign bit where u = 1 and adds b, which gives the
 bits of copysign(min(|a|, |b|), a * b) and b + (1 - 2u) * a for any finite
 input. SC and SCL share one g/f descent. SCL adds a path axis and one
-path-pointer array per level index l, which serves LLR level l + 1 while
-bit l of the position is clear and the partial sums at level l while it is
-set, so a fork re-points paths (Tal & Vardy's lazy copy) and a level is
-gathered only when read. A fork keeps the P smallest of 2P candidate
+path-pointer array per level index l < n - 1, which serves LLR level l + 1
+while bit l of the position is clear and the partial sums at level l while
+it is set, so a fork re-points paths (Tal & Vardy's lazy copy) and a level
+is gathered only when read. A fork keeps the P smallest of 2P candidate
 metrics, ties to the lower fork index. Metrics are +0.0 or more, so their
 int64 bits order as their values: wide forks sort one key per candidate,
 those bits less the sign bit and the low bits, which hold the column; rows
@@ -310,12 +310,12 @@ def scl_decode_batch(
     # gathers it and resets ptr[l], and the other is written, as a new array
     # holding every path in order, under that identity pointer. The f loop
     # reads what the same descent wrote, and g reads partial sums written
-    # after the last fork, so neither needs a read. ptr[n - 1] never
-    # gathers: its LLR level is the channel, and only g at N/2 reads its
-    # partial sums, before any fork
+    # after the last fork, so neither needs a read. There is no ptr[n - 1]:
+    # LLR level n is the channel, and only g at N/2 reads the partial sums
+    # at level n - 1, before any later fork
     llr_lvl = [None] * n + [np.ascontiguousarray(llrs.T)[:, :, None]]
     sums = [None] * n
-    ptr = [None] * n
+    ptr = [None] * (n - 1)
     metrics = np.full((B, P), np.inf)
     metrics[:, 0] = 0.0
     row0 = np.arange(B)[:, None] * P
@@ -360,7 +360,8 @@ def scl_decode_batch(
             for l in range(ones):
                 read(sums, l, l)
             _propagate_sums(sums, u[None], i)
-            read(llr_lvl, ones + 1, ones)  # the parent of position i+1's g
+            if ones < n - 1:  # the parent of position i+1's g
+                read(llr_lvl, ones + 1, ones)
 
     # backtrack from the minimum-metric final path (ties: lowest index)
     best = np.argmin(metrics, axis=1)

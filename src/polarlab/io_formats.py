@@ -13,11 +13,11 @@ from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
-from .channel import FerEstimate
+from .channel import ChannelConfig, FerEstimate
 from .codec import CodeSpec, DecoderConfig, FrozenMask
 from .construction import PHI_COEFFS, DatasetRecord
 from .errors import InvalidArgument, SchemaError
-from .surrogate import MlpConfig, MlpParams, Standardizer
+from .surrogate import MlpConfig, MlpParams, Standardizer, init_params
 
 __all__ = [
     "DatasetHeader",
@@ -244,6 +244,9 @@ def load_dataset(path: str) -> tuple[DatasetHeader, list[DatasetRecord]]:
         _field(fields, key, float, path)
     spec = _spec_from(fields, path)
     _build(path, "decoder", DecoderConfig, header.algorithm, header.list_size)
+    for key in ("ebn0_db", "design_ebn0_db"):
+        _build(f"{path}:{fields[key][1]}", "channel", ChannelConfig,
+               getattr(header, key), spec.rate)
     records = []
     for lineno, row in rows:
         tokens = row.split()
@@ -266,117 +269,85 @@ def _vector_line(name, vec) -> str:
     return f"{name} {' '.join(_fmt(v) for v in np.ravel(vec))}"
 
 
+def _model_rows(params: MlpParams, in_stats, out_stats):
+    """(name, array) of every model row after kept_indices, in file order.
+    in_stats holds in_mean and in_std, out_stats out_mean and out_std. Each
+    array is the model's own or a view of it, so a reader can fill it in
+    place, except a layer row's [index, rows, cols]."""
+    yield "in_mean", in_stats[0]
+    yield "in_std", in_stats[1]
+    yield "out_mean", out_stats[:1]
+    yield "out_std", out_stats[1:]
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        yield "layer", np.array([i, *w.shape])
+        for row in w:
+            yield f"w{i}", row
+        yield f"b{i}", b
+    if params.uses_batchnorm:
+        for i in range(len(params.bn_gamma)):
+            for key in _BN_KEYS:
+                yield f"bn_{key}{i}", getattr(params, f"bn_{key}")[i]
+
+
 def save_model(path: str, params: MlpParams, standardizer: Standardizer,
                train_echo: dict | None = None) -> None:
     cfg = params.config
-    lines = [
-        f"# {MODEL_VERSION}",
-        f"depth_l {cfg.depth_l}",
-        f"hidden_h {cfg.hidden_h}",
-        f"shortcut_g {cfg.shortcut_g}",
-        f"batchnorm {int(params.bn_gamma is not None)}",
-    ]
+    lines = [f"# {MODEL_VERSION}"]
+    lines += [f"{f.name} {getattr(cfg, f.name)}"
+              for f in dataclass_fields(MlpConfig)]
+    lines.append(f"batchnorm {int(params.uses_batchnorm)}")
     lines += [f"# train.{key}: {value}"
               for key, value in (train_echo or {}).items()]
     lines.append("kept_indices "
                  + " ".join(str(i) for i in standardizer.kept_indices))
-    lines.append(_vector_line("in_mean", standardizer.in_mean))
-    lines.append(_vector_line("in_std", standardizer.in_std))
-    lines.append(f"out_mean {_fmt(standardizer.out_mean)}")
-    lines.append(f"out_std {_fmt(standardizer.out_std)}")
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        lines.append(f"layer {i} {w.shape[0]} {w.shape[1]}")
-        lines += [_vector_line(f"w{i}", row) for row in w]
-        lines.append(_vector_line(f"b{i}", b))
-    if params.bn_gamma is not None:
-        for i in range(len(params.bn_gamma)):
-            for key in _BN_KEYS:
-                lines.append(_vector_line(f"bn_{key}{i}",
-                                          getattr(params, f"bn_{key}")[i]))
+    out_stats = np.array([standardizer.out_mean, standardizer.out_std])
+    lines += [_vector_line(name, vec) for name, vec in _model_rows(
+        params, (standardizer.in_mean, standardizer.in_std), out_stats)]
     _write_lines(path, lines)
 
 
-class _ModelReader:
-    """Sequential reader over 'name value...' rows with schema diagnostics."""
-
-    def __init__(self, path, rows):
-        self.path = path
-        self.rows = rows
-        self.pos = 0
-
-    def take(self, expect: str) -> tuple[int, list[str]]:
-        if self.pos >= len(self.rows):
-            raise SchemaError(
-                f"{self.path}: truncated file, expected {expect!r}")
-        lineno, line = self.rows[self.pos]
-        self.pos += 1
-        name, *rest = line.split()
-        if name != expect:
-            raise SchemaError(
-                f"{self.path}:{lineno}: expected {expect!r}, got {name!r}")
-        return lineno, rest
-
-    def vector(self, expect: str, size: int | None,
-               type_=float) -> np.ndarray:
-        lineno, rest = self.take(expect)
-        if size is not None and len(rest) != size:
-            raise SchemaError(f"{self.path}:{lineno}: {expect!r} has "
-                              f"{len(rest)} values, expected {size}")
-        return np.array([_parse(type_, t, self.path, lineno) for t in rest])
-
-    def done(self):
-        if self.pos != len(self.rows):
-            lineno, line = self.rows[self.pos]
-            raise SchemaError(
-                f"{self.path}:{lineno}: unknown trailing field "
-                f"{line.split()[0]!r}")
-
-
 def load_model(path: str) -> tuple[MlpParams, Standardizer]:
-    _, body = _read_artifact(path, MODEL_VERSION)
-    reader = _ModelReader(path, body)
-    cfg_vals = {key: int(reader.vector(key, 1, int)[0])
-                for key in ("depth_l", "hidden_h", "shortcut_g", "batchnorm")}
-    cfg = _build(path, "model config", MlpConfig, cfg_vals["depth_l"],
-                 cfg_vals["hidden_h"], cfg_vals["shortcut_g"])
+    _, rows = _read_artifact(path, MODEL_VERSION)
+    body = iter(rows)
+    end = rows[-1][0] + 1 if rows else 2  # where a missing row would be
+    at = []  # the line number of every row read
 
-    kept = reader.vector("kept_indices", None, int)
-    in_mean = reader.vector("in_mean", kept.size)
-    in_std = reader.vector("in_std", kept.size)
-    out_mean = float(reader.vector("out_mean", 1)[0])
-    out_std = float(reader.vector("out_std", 1)[0])
-    standardizer = _build(path, "standardizer", Standardizer, kept, in_mean,
-                          in_std, out_mean, out_std)
-
-    weights, biases = [], []
-    for i in range(cfg.depth_l):
-        lineno, rest = reader.take("layer")
-        if len(rest) != 3:
-            raise SchemaError(f"{path}:{lineno}: layer line needs 3 values")
-        idx, rows, cols = (_parse(int, t, path, lineno) for t in rest)
-        if idx != i:
-            raise SchemaError(f"{path}:{lineno}: expected layer {i}, "
-                              f"got {idx}")
-        expect_rows = kept.size if i == 0 else cfg.hidden_h
-        expect_cols = 1 if i == cfg.depth_l - 1 else cfg.hidden_h
-        if (rows, cols) != (expect_rows, expect_cols):
+    def values(name, type_, size=None) -> list:
+        """The values of the next row, which must be named name."""
+        lineno, line = next(body, (end, "<end-of-file>"))
+        at.append(lineno)
+        got, *tokens = line.split()
+        if got != name:
             raise SchemaError(
-                f"{path}:{lineno}: layer {i} shape ({rows}, {cols}) "
-                f"inconsistent with config, expected "
-                f"({expect_rows}, {expect_cols})")
-        w = np.stack([reader.vector(f"w{i}", cols) for _ in range(rows)])
-        weights.append(w)
-        biases.append(reader.vector(f"b{i}", cols))
+                f"{path}:{lineno}: expected {name!r}, got {got!r}")
+        if size is not None and len(tokens) != size:
+            raise SchemaError(f"{path}:{lineno}: {name!r} has {len(tokens)} "
+                              f"values, expected {size}")
+        return [_parse(type_, t, path, lineno) for t in tokens]
 
-    params = MlpParams(cfg, weights, biases)
-    if cfg_vals["batchnorm"]:
-        bn = {key: [] for key in _BN_KEYS}
-        for i in range(cfg.depth_l - 1):
-            for key in _BN_KEYS:
-                bn[key].append(reader.vector(f"bn_{key}{i}", cfg.hidden_h))
-        params = MlpParams(cfg, weights, biases, *bn.values())
-    reader.done()
-    return params, standardizer
+    config = [values(f.name, int, 1)[0] for f in dataclass_fields(MlpConfig)]
+    cfg = _build(f"{path}:{at[0]}-{at[-1]}", "model config", MlpConfig,
+                 *config)
+    batchnorm = values("batchnorm", int, 1)[0]
+    if batchnorm not in (0, 1):
+        raise SchemaError(f"{path}:{at[-1]}: batchnorm must be 0 or 1")
+    kept = np.array(values("kept_indices", int), dtype=np.int64)
+    # every value init_params draws is overwritten by a row below
+    params = init_params(cfg, kept.size, np.random.default_rng(0),
+                         bool(batchnorm))
+    in_stats, out_stats = np.empty((2, kept.size)), np.empty(2)
+    for name, array in _model_rows(params, in_stats, out_stats):
+        if name != "layer":
+            array[...] = values(name, float, array.size)
+        elif values(name, int, 3) != array.tolist():
+            raise SchemaError(f"{path}:{at[-1]}: layer index and shape "
+                              f"inconsistent with config, expected "
+                              f"{' '.join(map(str, array))}")
+    for lineno, line in body:
+        raise SchemaError(f"{path}:{lineno}: unknown trailing field "
+                          f"{line.split()[0]!r}")
+    return params, _build(f"{path}:{at[4]}-{at[8]}", "standardizer",
+                          Standardizer, kept, *in_stats, *out_stats.tolist())
 
 
 # ---------------------------------------------------------------------------

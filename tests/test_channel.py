@@ -1,6 +1,7 @@
 """Channel and Monte Carlo engine tests: noise calibration against the
 Q-function, reproducibility across worker counts, and estimate bookkeeping."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,6 +30,10 @@ def test_noise_variance_formula():
         ChannelConfig(1.0, 0.0)
     with pytest.raises(InvalidArgument):
         ChannelConfig(1.0, 1.5)
+    # 10**(dB/10) is NaN, 0, inf or out of float range: no usable variance
+    for ebn0 in (math.nan, math.inf, -math.inf, -4000.0, 4000.0):
+        with pytest.raises(InvalidArgument):
+            ChannelConfig(ebn0, 0.5)
 
 
 def test_transmit_llr_statistics():
@@ -114,6 +119,12 @@ def test_fer_estimate_bookkeeping():
         FerEstimate(0.5, 10, 20, 1.0, 0.0)
     with pytest.raises(InvalidArgument):
         FerEstimate(1.5, 10, 5, 1.0, 0.0)
+    # fer or half-width other than from_counts gives, or counts out of range
+    for fields in ((0.3, 10, 5, 2.0, 0.0), (0.5, 10, 5, 2.0, 0.0),
+                   (0.0, 0, 0, 2.0, 0.0), (0.5, 10, -5, 2.0, 9.0)):
+        with pytest.raises(InvalidArgument):
+            FerEstimate(*fields)
+    assert FerEstimate(*dataclasses.astuple(est)) == est
 
 
 def test_mc_config_validation():

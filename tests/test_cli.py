@@ -77,13 +77,37 @@ def test_simulate_thread_count_does_not_change_output(tmp_path, mask_file):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def test_simulate_sweep_parsing(tmp_path, mask_file):
+def test_simulate_sweep_parsing(tmp_path, mask_file, capsys):
     prefix = str(tmp_path / "sweep")
     assert run("simulate", "--mask", mask_file, "--ebn0", "1.0:2.0:0.5",
                "--list-size", "1", "--target-errors", "5",
                "--max-frames", "5000", "--out", prefix) == 0
     rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
     assert [float(r.split(",")[0]) for r in rows] == [1.0, 1.5, 2.0]
+    for bad in ("abc", "1:2:x", "1,x", "nan:2:0.5", "1:inf:0.5", "1,nan",
+                "1:2", "2:1:0.5", "0:1e308:1e-300"):
+        out = tmp_path / "bad"
+        assert run("simulate", "--mask", mask_file, f"--ebn0={bad}",
+                   "--out", str(out)) == 2, bad
+        assert "--ebn0" in capsys.readouterr().err, bad
+        assert not list(tmp_path.glob("bad*")), bad
+
+
+@pytest.mark.parametrize("ebn0", ["nan", "inf", "-inf", "-4000", "4000"])
+def test_unusable_ebn0_is_a_usage_error(tmp_path, mask_file, ebn0):
+    # none of these gives a finite, positive noise variance
+    code = ["--n", "16", "--k", "8"]
+    shuffle = [*code, "--range-r", "2", "--count-d", "3"]
+    inputs = {
+        "construct": [*code, f"--ebn0={ebn0}"],
+        "simulate": ["--mask", mask_file, f"--ebn0={ebn0}"],
+        "dataset": [*shuffle, f"--ebn0={ebn0}"],
+        "dataset-design": [*shuffle, f"--design-ebn0={ebn0}"],
+    }
+    for name, args in inputs.items():
+        out = tmp_path / f"{name}-out"
+        assert run(name.split("-")[0], *args, "--out", str(out)) == 2, name
+        assert not list(tmp_path.glob(f"{name}-out*")), name
 
 
 def test_simulate_schema_error_exit_code(tmp_path, mask_file):

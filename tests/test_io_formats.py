@@ -3,6 +3,7 @@ malformed files."""
 
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -171,6 +172,22 @@ def test_dataset_rejects_invalid_decoder(tmp_path, random_records, line):
         iof.load_dataset(str(path))
 
 
+@pytest.mark.parametrize("key,value", [("ebn0_db", "nan"),
+                                       ("ebn0_db", "-inf"),
+                                       ("design_ebn0_db", "inf")])
+def test_dataset_rejects_non_finite_ebn0(tmp_path, random_records, key,
+                                         value):
+    path = tmp_path / "ds.txt"
+    iof.save_dataset(str(path), _header(), random_records)
+    lines = path.read_text().splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith(f"# {key}:"))
+    lines[at] = f"# {key}: {value}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError,
+                       match=rf"ds\.txt:{at + 1}: invalid channel"):
+        iof.load_dataset(str(path))
+
+
 # ---------------------------------------------------------------------------
 # models
 
@@ -178,6 +195,7 @@ def test_dataset_rejects_invalid_decoder(tmp_path, random_records, line):
     (MlpConfig(6, 320, 3), False, 36),  # large-sweep shape
     (MlpConfig(3, 16, 2), True, 10),
     (MlpConfig(1, 5, 1), False, 7),
+    (MlpConfig(1, 5, 1), True, 7),  # BatchNorm with no hidden layer
 ])
 def test_model_round_trip_bit_exact(tmp_path, cfg, batchnorm, d_in):
     rng = np.random.default_rng(1)
@@ -229,6 +247,57 @@ def test_model_rejects_shape_mismatch(tmp_path):
                                                    "layer 0 4 5"))
     with pytest.raises(SchemaError, match="shape"):
         iof.load_model(str(tmp_path / "bad.txt"))
+
+
+def _corruptions(lines):
+    """Every single-line corruption of a model file's rows: a row dropped,
+    duplicated or swapped with the next; one token added or removed; the
+    first value replaced by x, 7 or 1.5; a row renamed; a trailing row."""
+    rows = [i for i, ln in enumerate(lines) if not ln.startswith("#")]
+    for i, j in zip(rows, rows[1:] + [None]):
+        name, *vals = lines[i].split()
+        edits = [[], [lines[i]] * 2, [lines[i] + " 0.25"],
+                 [" ".join([name, *vals[:-1]])], [" ".join(["bogus", *vals])]]
+        edits += [[" ".join([name, token, *vals[1:]])]
+                  for token in ("x", "7", "1.5")]
+        for edit in edits:
+            yield lines[:i] + edit + lines[i + 1:]
+        if j is not None:
+            swapped = list(lines)
+            swapped[i], swapped[j] = lines[j], lines[i]
+            yield swapped
+    yield lines + ["mystery 1"]
+
+
+def test_model_loader_accepts_exactly_what_the_writer_writes(tmp_path):
+    """Each single-line corruption of a BatchNorm model with a shortcut is
+    rejected at a line, or loads to a model that writes back the same rows."""
+    cfg = MlpConfig(3, 4, 1)
+    assert cfg.has_shortcut_into(2)
+    rng = np.random.default_rng(5)
+    params = init_params(cfg, 4, rng, batchnorm=True)
+    std = Standardizer(np.array([1, 3, 4, 6]), rng.normal(0, 1, 4),
+                       np.full(4, 0.5), -3.0, 1.2)
+    path, again = tmp_path / "model.txt", tmp_path / "again.txt"
+    iof.save_model(str(path), params, std, {"epochs": 3})
+
+    def body(lines):
+        return [ln for ln in lines if not ln.startswith("#")]
+
+    outcomes = []
+    for bad in _corruptions(path.read_text().splitlines()):
+        path.write_text("\n".join(bad) + "\n")
+        try:
+            loaded, std2 = iof.load_model(str(path))
+        except SchemaError as exc:
+            assert re.match(rf"{re.escape(str(path))}:\d+", str(exc)), exc
+            outcomes.append("rejected")
+            continue
+        iof.save_model(str(again), loaded, std2)
+        assert body(again.read_text().splitlines()) == body(bad)
+        outcomes.append("accepted")
+    assert len(outcomes) > 250 and "accepted" in outcomes \
+        and "rejected" in outcomes
 
 
 # ---------------------------------------------------------------------------
