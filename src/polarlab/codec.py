@@ -11,17 +11,24 @@ each folded partial-sum block is bound to its level as a new array. f and g
 work on sign bits: f ORs the XOR of the operands' sign bits into
 min(|a|, |b|), g flips a's sign bit where u = 1 and adds b, which gives the
 bits of copysign(min(|a|, |b|), a * b) and b + (1 - 2u) * a for any finite
-input. SC and SCL share one g/f descent. SCL adds a path axis and one
-path-pointer array per level index l < n - 1, which serves LLR level l + 1
-while bit l of the position is clear and the partial sums at level l while
-it is set, so a fork re-points paths (Tal & Vardy's lazy copy) and a level
-is gathered only when read. A fork keeps the P smallest of 2P candidate
-metrics, ties to the lower fork index. Metrics are +0.0 or more, so their
-int64 bits order as their values: wide forks sort one key per candidate,
-those bits less the sign bit and the low bits, which hold the column; rows
-whose first P + 1 keys tie above the column or hold a NaN take the stable
-argsort. SC keeps its own decision loop as the reference that SCL with
-list size 1 is tested against, and its genie_zero mode gives the
+input. The approximate min-sum decoder (see DecoderConfig) keeps its levels,
+leaves, path metrics and fork candidates in float32, which halves the bytes
+every pass over a level moves, and rejects LLRs float32 cannot hold.
+min(|a|, |b|) and the sign-bit operations are exact at any width; only the
+cast of the channel LLRs, g's add and the metric sums round, so a decision
+can move only where that rounding flips a leaf's sign or the order of two
+fork candidates. SC and SCL share one g/f descent. SCL adds a path axis and
+one path-pointer array per level index l < n - 1, which serves LLR level
+l + 1 while bit l of the position is clear and the partial sums at level l
+while it is set, so a fork re-points paths (Tal & Vardy's lazy copy) and a
+level is gathered only when read. A fork keeps the P smallest of 2P
+candidate metrics, ties to the lower fork index. Metrics are +0.0 or more,
+so the signed integers of their width order as their values: wide forks
+sort one key per candidate, those bits less the sign bit and the low bits,
+which hold the column (up to 6 of float32's 23 mantissa bits at list size
+32); rows whose first P + 1 keys tie above the column or hold a NaN take the
+stable argsort. SC keeps its own decision loop as the reference that SCL
+with list size 1 is tested against, and its genie_zero mode gives the
 genie-aided per-position error statistics.
 """
 
@@ -105,12 +112,28 @@ class DecoderConfig:
     metric_mode 'approximate' adds |llr| on sign contradictions; 'exact'
     adds ln(1 + exp(-(1-2u) llr)). node_mode 'min_sum_f' is the usual
     hardware f; 'exact_f' is the boxplus rule (needed for ML equivalence).
+
+    The width (dtype) follows from the modes. With 'approximate' and
+    'min_sum_f', the default and also SC with 'min_sum_f', every LLR, metric
+    and fork candidate is float32: min-sum f and the metric's max(0, -llr)
+    are exact at any width, so only the channel cast, g's add and the metric
+    sums round, and LLRs may be at most float32's largest finite value in
+    magnitude. 'exact' metrics and 'exact_f' stay float64: they round in
+    every logaddexp, and full-list SCL's ML equivalence and the genie-aided
+    statistics are checked with them.
     """
 
     algorithm: str = "scl"
     list_size: int = 1
     metric_mode: str = "approximate"
     node_mode: str = "min_sum_f"
+
+    @property
+    def dtype(self):
+        """The width the decoder runs at (see the class docstring)."""
+        if self.metric_mode == "approximate" and self.node_mode == "min_sum_f":
+            return np.float32
+        return np.float64
 
     def __post_init__(self):
         if self.algorithm not in ("sc", "scl"):
@@ -160,13 +183,19 @@ def encode(spec: CodeSpec, mask: FrozenMask, payload: np.ndarray) -> np.ndarray:
 # node functions
 
 
+# float dtype -> (integer view of its width, index of its sign bit)
+_INT_VIEW = {np.dtype(np.float32): (np.int32, 31),
+             np.dtype(np.float64): (np.int64, 63)}
+
+
 def _f_min_sum(a, b):
     # copysign(min(|a|, |b|), a * b): a * b has the XOR of the sign bits
+    itype, top = _INT_VIEW[a.dtype]
     m = np.abs(a)
     np.minimum(m, np.abs(b), out=m)
-    sign = a.view(np.int64) ^ b.view(np.int64)
-    sign &= -1 << 63  # keep the sign bit
-    np.bitwise_or(m.view(np.int64), sign, out=m.view(np.int64))
+    sign = a.view(itype) ^ b.view(itype)
+    sign &= -1 << top  # keep the sign bit
+    np.bitwise_or(m.view(itype), sign, out=m.view(itype))
     return m
 
 
@@ -177,24 +206,30 @@ def _f_exact(a, b):
 
 def _g(a, b, u):
     # b + (1 - 2u) * a: flip a's sign bit where u = 1 (u has the full shape)
-    s = u.astype(np.int64)
-    s <<= 63
-    s ^= a.view(np.int64)
-    return np.add(s.view(np.float64), b, out=s.view(np.float64))
+    itype, top = _INT_VIEW[a.dtype]
+    s = u.astype(itype)
+    s <<= top
+    s ^= a.view(itype)
+    return np.add(s.view(a.dtype), b, out=s.view(a.dtype))
 
 
 _F_FUNCS = {"min_sum_f": _f_min_sum, "exact_f": _f_exact}
 
 
-def _checked_llrs(spec: CodeSpec, llrs: np.ndarray) -> np.ndarray:
-    """The LLRs as a float64 (B, N) array, checked for shape and finiteness."""
+def _checked_llrs(spec: CodeSpec, llrs: np.ndarray, dtype) -> np.ndarray:
+    """The LLRs as tree level n, a C-contiguous (N, B) array of dtype, after
+    checking in float64 that they have shape (B, N) and that dtype holds
+    each one as a finite value."""
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.ndim != 2 or llrs.shape[1] != spec.n_bits:
         raise InvalidArgument(
             f"LLRs must have shape (B, {spec.n_bits}), got {llrs.shape}")
-    if not np.all(np.isfinite(llrs)):
-        raise InvalidArgument("LLRs must be finite")
-    return llrs
+    limit = np.finfo(dtype).max
+    if not np.all(np.abs(llrs) <= limit):  # false for inf and NaN too
+        raise InvalidArgument(
+            f"LLRs must be finite and at most {limit:.8g} in magnitude for "
+            f"a {np.dtype(dtype).name} decoder")
+    return np.ascontiguousarray(llrs.T, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +251,13 @@ def sc_decode_batch(
     indicator instead of the payload.
     """
     mask.validate_for(spec)
-    llrs = _checked_llrs(spec, llrs)
-    B, N = llrs.shape
+    channel = _checked_llrs(spec, llrs,
+                            DecoderConfig("sc", node_mode=node_mode).dtype)
+    N, B = channel.shape
     f_func = _F_FUNCS[node_mode]
     n = spec.stages
     # per-level active blocks, (2**l, B) at level l; level n is the channel
-    llr_lvl = [None] * n + [np.ascontiguousarray(llrs.T)]
+    llr_lvl = [None] * n + [channel]
     sums = [None] * n
     u_hat = np.empty((B, N), dtype=np.uint8)
     errs = np.zeros((B, N), dtype=np.uint8) if genie_zero else None
@@ -290,8 +326,8 @@ def scl_decode_batch(
     deterministic; `_select` finds them by one sort of exact integer keys.
     """
     mask.validate_for(spec)
-    llrs = _checked_llrs(spec, llrs)
-    B, N = llrs.shape
+    channel = _checked_llrs(spec, llrs, config.dtype)
+    N, B = channel.shape
     P = config.list_size
     f_func = _F_FUNCS[config.node_mode]
     penalty = np.logaddexp if config.metric_mode == "exact" else np.maximum
@@ -313,10 +349,10 @@ def scl_decode_batch(
     # after the last fork, so neither needs a read. There is no ptr[n - 1]:
     # LLR level n is the channel, and only g at N/2 reads the partial sums
     # at level n - 1, before any later fork
-    llr_lvl = [None] * n + [np.ascontiguousarray(llrs.T)[:, :, None]]
+    llr_lvl = [None] * n + [channel[:, :, None]]
     sums = [None] * n
     ptr = [None] * (n - 1)
-    metrics = np.full((B, P), np.inf)
+    metrics = np.full((B, P), np.inf, config.dtype)
     metrics[:, 0] = 0.0
     row0 = np.arange(B)[:, None] * P
     # fork history for final backtracking (cheaper than gathering a full
@@ -342,7 +378,7 @@ def scl_decode_batch(
         else:
             # candidate index = 2*parent + u so the stable sort breaks
             # metric ties by fork index
-            cand = np.empty((B, 2 * P))
+            cand = np.empty((B, 2 * P), config.dtype)
             cand[:, 0::2] = metrics + pen0
             cand[:, 1::2] = metrics + penalty(0.0, leaf)
             order = _select(cand, P)
@@ -383,12 +419,14 @@ def _select(cand, P):
     W = cand.shape[1]
     if W < _KEY_SORT_MIN_WIDTH:
         return np.argsort(cand, axis=1, kind="stable")[:, :P]
+    itype, top = _INT_VIEW[cand.dtype]
     low = (1 << (W - 1).bit_length()) - 1
-    key = cand.view(np.int64) & ((1 << 63) - 1 - low)
-    key |= np.arange(W)
+    key = cand.view(itype) & ((1 << top) - 1 - low)
+    key |= np.arange(W, dtype=itype)
     key.sort(axis=1)
     gap = np.bitwise_xor(key[:, 1:P + 1], key[:, :P]).min(axis=1)
-    redo = (gap <= low) | (key[:, P] > (0x7FF << 52 | low))  # NaN: > +inf
+    inf = int(np.array(np.inf, cand.dtype).view(itype))
+    redo = (gap <= low) | (key[:, P] > (inf | low))  # NaN: > +inf
     order = key[:, :P] & low
     if redo.any():
         order[redo] = np.argsort(cand[redo], axis=1, kind="stable")[:, :P]

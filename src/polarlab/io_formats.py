@@ -331,11 +331,11 @@ def load_model(path: str) -> tuple[MlpParams, Standardizer]:
     batchnorm = values("batchnorm", int, 1)[0]
     if batchnorm not in (0, 1):
         raise SchemaError(f"{path}:{at[-1]}: batchnorm must be 0 or 1")
-    kept = np.array(values("kept_indices", int), dtype=np.int64)
+    kept = values("kept_indices", int)  # Standardizer checks the range
     # every value init_params draws is overwritten by a row below
-    params = init_params(cfg, kept.size, np.random.default_rng(0),
+    params = init_params(cfg, len(kept), np.random.default_rng(0),
                          bool(batchnorm))
-    in_stats, out_stats = np.empty((2, kept.size)), np.empty(2)
+    in_stats, out_stats = np.empty((2, len(kept))), np.empty(2)
     for name, array in _model_rows(params, in_stats, out_stats):
         if name != "layer":
             array[...] = values(name, float, array.size)

@@ -55,11 +55,16 @@ class Standardizer:
     out_std: float
 
     def __post_init__(self):
-        self.kept_indices = np.asarray(self.kept_indices, dtype=np.int64)
+        try:
+            kept = np.asarray(self.kept_indices, dtype=np.int64)
+        except OverflowError:
+            raise InvalidArgument("kept_indices must fit in int64") from None
+        self.kept_indices = kept
         self.in_mean = np.asarray(self.in_mean, dtype=np.float64)
         self.in_std = np.asarray(self.in_std, dtype=np.float64)
-        if np.any(np.diff(self.kept_indices) <= 0):
-            raise InvalidArgument("kept_indices must be strictly increasing")
+        if np.any(kept[:1] < 0) or np.any(np.diff(kept) <= 0):
+            raise InvalidArgument(
+                "kept_indices must be non-negative and strictly increasing")
         if np.any(self.in_std <= 0) or self.out_std <= 0:
             raise InvalidArgument("standardizer scales must be positive")
 

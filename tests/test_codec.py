@@ -94,12 +94,17 @@ def test_mask_validate_for():
     FrozenMask([1, 1, 0, 0]).validate_for(CodeSpec(4, 2))
 
 
-# LLR values where the sign-bit f and g could part from the float formulas:
-# signed zeros, subnormals, products that underflow or overflow, and equal
-# magnitudes of either sign
-EDGE_LLRS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e-200,
-                      -1e-200, 1e308, -1e308, 1.7976931348623157e308, 1.5,
-                      -1.5, 3.0, -3.0, 0.75])
+# LLR values where the sign-bit f and g could part from the float formulas,
+# at each decoder width: signed zeros, subnormals, products that underflow
+# or overflow, the largest finite value, and equal magnitudes of either sign
+EDGE_LLRS = {
+    np.float64: np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308,
+                          1e-200, -1e-200, 1e308, -1e308,
+                          1.7976931348623157e308, 1.5, -1.5, 3.0, -3.0, 0.75]),
+    np.float32: np.array([0.0, -0.0, 1e-45, -1e-45, 1e-40, -1.1e-38, 1e-25,
+                          -1e-25, 1e38, -1e38, 3.4028235e38, 1.5, -1.5, 3.0,
+                          -3.0, 0.75], np.float32),
+}
 
 
 def reference_f(a, b):
@@ -109,21 +114,25 @@ def reference_f(a, b):
 
 def reference_g(a, b, u):
     with np.errstate(over="ignore"):
-        return b + (1.0 - 2.0 * u) * a
+        return b + (1 - 2 * u.astype(a.dtype)) * a
 
 
 def assert_same_bits(x, y):
-    assert x.shape == y.shape
-    assert np.array_equal(x.view(np.int64), y.view(np.int64))
+    assert x.shape == y.shape and x.dtype == y.dtype
+    bits = f"i{x.dtype.itemsize}"
+    assert np.array_equal(x.view(bits), y.view(bits))
 
 
 def test_node_functions_match_reference_bits_on_edge_grid():
-    a, b = (v.reshape(16, 4, 4) for v in np.meshgrid(EDGE_LLRS, EDGE_LLRS))
-    assert_same_bits(_f_min_sum(a, b), reference_f(a, b))
-    for u in (np.zeros(a.shape, np.uint8), np.ones(a.shape, np.uint8),
-              (np.arange(a.size) % 3 == 0).astype(np.uint8).reshape(a.shape)):
-        with np.errstate(over="ignore"):
-            assert_same_bits(_g(a, b, u), reference_g(a, b, u))
+    for dtype, edge in EDGE_LLRS.items():
+        a, b = (v.reshape(16, 4, 4) for v in np.meshgrid(edge, edge))
+        assert a.dtype == dtype
+        assert_same_bits(_f_min_sum(a, b), reference_f(a, b))
+        for u in (np.zeros(a.shape, np.uint8), np.ones(a.shape, np.uint8),
+                  (np.arange(a.size) % 3 == 0).astype(np.uint8).reshape(
+                      a.shape)):
+            with np.errstate(over="ignore"):
+                assert_same_bits(_g(a, b, u), reference_g(a, b, u))
 
 
 @settings(max_examples=50, deadline=None)
@@ -133,18 +142,19 @@ def test_node_functions_match_reference_bits_on_decoder_shapes(seed):
     # a (2h, B, 1) level every path shares, with (h, B, P) partial sums
     rng = np.random.default_rng(seed)
     h, B, P = 1 << int(rng.integers(0, 4)), 3, 4
-    vals = np.where(rng.random((2 * h, B, P)) < 0.3,
-                    rng.choice(EDGE_LLRS, (2 * h, B, P)),
-                    rng.normal(0, 4, (2 * h, B, P)))
-    u = (rng.random((h, B, P)) < 0.5).astype(np.uint8)
-    for blk in (vals, vals[:, :, :1].copy()):
-        a, b = blk[:h], blk[h:]
+    for dtype, edge in EDGE_LLRS.items():
+        vals = np.where(rng.random((2 * h, B, P)) < 0.3,
+                        rng.choice(edge, (2 * h, B, P)),
+                        rng.normal(0, 4, (2 * h, B, P)).astype(dtype))
+        u = (rng.random((h, B, P)) < 0.5).astype(np.uint8)
+        for blk in (vals, vals[:, :, :1].copy()):
+            a, b = blk[:h], blk[h:]
+            assert_same_bits(_f_min_sum(a, b), reference_f(a, b))
+            with np.errstate(over="ignore"):
+                assert_same_bits(_g(a, b, u), reference_g(a, b, u))
+        # a path-wide operand against a shared one
+        a, b = vals[:h], vals[h:, :, :1]
         assert_same_bits(_f_min_sum(a, b), reference_f(a, b))
-        with np.errstate(over="ignore"):
-            assert_same_bits(_g(a, b, u), reference_g(a, b, u))
-    # a path-wide operand against a shared one
-    a, b = vals[:h], vals[h:, :, :1]
-    assert_same_bits(_f_min_sum(a, b), reference_f(a, b))
 
 
 def test_sc_hand_trace_n2():
@@ -265,6 +275,35 @@ def test_decoders_reject_nonfinite_llrs():
             scl_decode_batch(spec, mask, DecoderConfig("scl", 2), bad)
 
 
+def test_decoder_width_and_its_llr_range():
+    # the approximate min-sum decoders run in float32 and reject finite
+    # LLRs float32 cannot hold; the others run in float64 and decode them
+    spec = CodeSpec(8, 4)
+    mask = FrozenMask([1, 1, 1, 0, 1, 0, 0, 0])
+    payload = np.array([[1, 0, 1, 1], [0, 1, 1, 0]], dtype=np.uint8)
+    sign = 1.0 - 2.0 * encode(spec, mask, payload)
+    limit = float(np.finfo(np.float32).max)
+    float32 = [DecoderConfig("sc"), DecoderConfig("scl", 1),
+               DecoderConfig("scl", 4)]
+    float64 = [DecoderConfig("sc", node_mode="exact_f"),
+               DecoderConfig("scl", 4, "approximate", "exact_f"),
+               DecoderConfig("scl", 4, "exact", "min_sum_f"),
+               DecoderConfig("scl", 4, "exact", "exact_f")]
+    for cfg in float32:
+        assert cfg.dtype == np.float32
+        with np.errstate(over="ignore", invalid="ignore"):  # g overflows
+            assert decode_batch(spec, mask, cfg, limit * sign).shape == (2, 4)
+        for big in (1e39, -1e39):
+            llrs = sign.copy()
+            llrs[1, 3] = big
+            with pytest.raises(InvalidArgument, match="3.4028235e\\+38"):
+                decode_batch(spec, mask, cfg, llrs)
+    for cfg in float64:
+        assert cfg.dtype == np.float64
+        assert np.array_equal(decode_batch(spec, mask, cfg, 1e39 * sign),
+                              payload)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_scl_noiseless_roundtrip_property(seed):
@@ -282,15 +321,32 @@ def test_scl_noiseless_roundtrip_property(seed):
 # ---------------------------------------------------------------------------
 # fork selection: _select against the stable argsort it replaces
 
-# NaNs with the lowest and the highest payload; argsort puts every NaN,
-# whatever its sign and payload, last and in column order
-OTHER_NANS = list(np.array([0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF],
-                           np.int64).view(np.float64))
-SELECT_VALUES = np.array([
-    0.0, -0.0, 5e-324, 1e-300, 1.0, np.nextafter(1.0, 2.0),
-    np.nextafter(np.nextafter(1.0, 2.0), 2.0), np.nextafter(1.0, 0.0), 2.5,
-    np.nextafter(2.5, 3.0), 7.0, 1e308, np.finfo(np.float64).max, np.inf,
-    np.nan, np.copysign(np.nan, -1.0), *OTHER_NANS])  # x86: -NaN = inf - inf
+# the candidate metrics of a fork at each decoder width: zeros, the
+# smallest subnormal, values one ulp apart, the largest finite value, +inf
+# and NaNs of either sign, among them (last two) those with the lowest and
+# the highest payload; argsort puts every NaN, whatever its sign and
+# payload, last and in column order
+def _nans(dtype, payloads):
+    bits = np.array(payloads, f"i{np.dtype(dtype).itemsize}")
+    return list((bits | np.array(np.inf, dtype).view(bits.dtype)).view(dtype))
+
+
+SELECT_VALUES = {
+    np.float64: np.array([
+        0.0, -0.0, 5e-324, 1e-300, 1.0, np.nextafter(1.0, 2.0),
+        np.nextafter(np.nextafter(1.0, 2.0), 2.0), np.nextafter(1.0, 0.0),
+        2.5, np.nextafter(2.5, 3.0), 7.0, 1e308, np.finfo(np.float64).max,
+        np.inf, np.nan, np.copysign(np.nan, -1.0),  # x86: -NaN = inf - inf
+        *_nans(np.float64, [1, (1 << 52) - 1])]),
+}
+_ONE32, _TWO32 = np.float32(1.0), np.float32(2.0)
+SELECT_VALUES[np.float32] = np.array([
+    0.0, -0.0, 1e-45, 1e-38, 1.0, np.nextafter(_ONE32, _TWO32),
+    np.nextafter(np.nextafter(_ONE32, _TWO32), _TWO32),
+    np.nextafter(_ONE32, np.float32(0.0)), 2.5,
+    np.nextafter(np.float32(2.5), np.float32(3.0)), 7.0, 1e38,
+    np.finfo(np.float32).max, np.inf, np.nan, np.copysign(np.nan, -1.0),
+    *_nans(np.float32, [1, (1 << 23) - 1])], np.float32)
 # widths 2P from 2 to 64, on both sides of the key-sort threshold
 SELECT_LISTS = [1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 17, 24, 31, 32]
 
@@ -299,38 +355,42 @@ def stable_argsort(cand, P):
     return np.argsort(cand, axis=1, kind="stable")[:, :P]
 
 
-def select_rows(rng, P, B=24):
+def select_rows(rng, P, dtype=np.float64, B=24):
     """Rows of 2P candidates drawn as a decoder could see them, plus the
     hard cases: exact ties, values one ulp apart, +inf runs, 0.0, NaNs."""
     W = 2 * P
     rows = [np.cumsum(rng.exponential(size=W))[rng.permutation(W)],
             np.round(rng.exponential(size=W) * 2) / 2,
             np.full(W, 1.0),
-            np.nextafter(1.0, 2.0 + np.arange(W) % 3),
+            np.nextafter(np.ones(W, dtype), (2.0 + np.arange(W) % 3).astype(
+                dtype)),
             np.where(np.arange(W) < 2, rng.exponential(size=W), np.inf),
             np.where(np.arange(W) % 2, np.inf, 0.0)]
     # NaNs of distinct payloads, without and with the sign bit
-    payloads = rng.integers(1, 1 << 52, W)
-    rows += [(payloads | 0x7FF << 52).view(np.float64),
-             (payloads | -1 << 52).view(np.float64)]
+    payloads = rng.integers(1, 1 << np.finfo(dtype).nmant, W)
+    rows += [_nans(dtype, payloads), np.copysign(_nans(dtype, payloads), -1)]
     while len(rows) < B:
         rows.append(np.where(rng.random(W) < 0.5,
-                             rng.choice(SELECT_VALUES, W),
-                             np.cumsum(rng.exponential(size=W))))
-    return np.array(rows)
+                             rng.choice(SELECT_VALUES[dtype], W),
+                             np.cumsum(rng.exponential(size=W)).astype(dtype)))
+    return np.array(rows, dtype)
 
 
 @pytest.mark.parametrize("P", SELECT_LISTS)
 def test_select_matches_stable_argsort_on_grid(P):
     assert 2 * SELECT_LISTS[0] < _KEY_SORT_MIN_WIDTH <= 2 * SELECT_LISTS[-1]
-    cand = select_rows(np.random.default_rng(P), P)
-    assert np.array_equal(_select(cand, P), stable_argsort(cand, P))
-    # and each value next to its neighbours one ulp away, or exactly tied
-    base = np.repeat(np.array([0.0, 1.0, 3.0, 1e300]), 2 * P // 4 + 1)[:2 * P]
-    for cand in (np.stack([base, np.nextafter(base, np.inf)[::-1],
-                           np.sort(base)[::-1]]),
-                 np.nextafter(np.tile(base, (3, 1)), np.inf)):
+    for dtype, big in ((np.float64, 1e300), (np.float32, 1e38)):
+        cand = select_rows(np.random.default_rng(P), P, dtype)
         assert np.array_equal(_select(cand, P), stable_argsort(cand, P))
+        # and each value next to its neighbours one ulp away, or exactly
+        # tied: the key sort, whose low bits hold the column, ties those,
+        # so the right order comes only from the rows it sends to argsort
+        base = np.repeat(np.array([0.0, 1.0, 3.0, big], dtype),
+                         2 * P // 4 + 1)[:2 * P]
+        up = np.nextafter(base, dtype(np.inf))
+        for cand in (np.stack([base, up[::-1], np.sort(base)[::-1]]),
+                     np.tile(up, (3, 1))):
+            assert np.array_equal(_select(cand, P), stable_argsort(cand, P))
 
 
 @settings(max_examples=200, deadline=None)
@@ -338,18 +398,23 @@ def test_select_matches_stable_argsort_on_grid(P):
 def test_select_matches_stable_argsort(P, seed):
     rng = np.random.default_rng(seed)
     W = 2 * P
-    base = rng.choice(SELECT_VALUES, (8, W))
-    ulps = rng.integers(-2, 3, (8, W))  # shift finite values by 0-2 ulp
-    near = base.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(2):
-            near = np.where(ulps > 0, np.nextafter(near, np.inf), near)
-            near = np.where(ulps < 0, np.nextafter(near, 0.0), near)
-            ulps -= np.sign(ulps)
-    finite_metrics = np.cumsum(rng.exponential(size=(8, W)), axis=1)
-    cand = np.concatenate([base, near, finite_metrics,
-                           np.round(finite_metrics)])
-    assert np.array_equal(_select(cand, P), stable_argsort(cand, P))
+    for dtype in (np.float64, np.float32):
+        base = rng.choice(SELECT_VALUES[dtype], (8, W))
+        ulps = rng.integers(-2, 3, (8, W))  # shift finite values by 0-2 ulp
+        near = base.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(2):
+                near = np.where(ulps > 0, np.nextafter(near, dtype(np.inf)),
+                                near)
+                near = np.where(ulps < 0, np.nextafter(near, dtype(0.0)),
+                                near)
+                ulps -= np.sign(ulps)
+        finite_metrics = np.cumsum(rng.exponential(size=(8, W)),
+                                   axis=1).astype(dtype)
+        cand = np.concatenate([base, near, finite_metrics,
+                               np.round(finite_metrics)])
+        assert cand.dtype == dtype
+        assert np.array_equal(_select(cand, P), stable_argsort(cand, P))
 
 
 @pytest.mark.parametrize("list_size", [8, 16, 32])
@@ -358,7 +423,8 @@ def test_scl_paths_match_stable_argsort_selection(list_size, llr_kind,
                                                   monkeypatch):
     # integer LLRs tie metrics exactly; LLRs rounded to 0.1 give metrics
     # that differ in their last bits only, as sums in another order; and
-    # +-1e308 LLRs overflow g to +-inf and then NaN
+    # LLRs of +-the largest finite value of the decoder's width overflow g
+    # to +-inf and then NaN
     rng = np.random.default_rng(list_size)
     spec = CodeSpec(64, 32)
     bits = np.zeros(64, dtype=np.uint8)
@@ -368,7 +434,8 @@ def test_scl_paths_match_stable_argsort_selection(list_size, llr_kind,
     x = 1.0 - 2.0 * encode(spec, mask, rng.integers(0, 2, (64, 32)))
     noisy = x + rng.normal(0, 0.9, x.shape)
     llrs = {"integer": np.round(2 * noisy), "decimal": np.round(2 * noisy, 1),
-            "huge": np.where(noisy < 0, -1e308, 1e308)}[llr_kind]
+            "huge": np.where(noisy < 0, -1.0, 1.0) * np.finfo(cfg.dtype).max,
+            }[llr_kind]
     with np.errstate(over="ignore", invalid="ignore"):
         got = scl_decode_batch(spec, mask, cfg, llrs)
         monkeypatch.setattr(codec, "_select", stable_argsort)

@@ -249,6 +249,23 @@ def test_model_rejects_shape_mismatch(tmp_path):
         iof.load_model(str(tmp_path / "bad.txt"))
 
 
+@pytest.mark.parametrize("kept", ["-9 5", "3 99999999999999999999"])
+def test_model_rejects_out_of_range_kept_indices(tmp_path, kept):
+    # a negative index would count mask columns from the end, and one past
+    # int64 does not fit the standardizer's index array
+    params = init_params(MlpConfig(1, 3, 1), 2, np.random.default_rng(4))
+    std = Standardizer(np.array([3, 5]), np.zeros(2), np.ones(2), 0.0, 1.0)
+    path = tmp_path / "model.txt"
+    iof.save_model(str(path), params, std)
+    lines = path.read_text().splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("kept_indices"))
+    lines[at] = f"kept_indices {kept}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError,
+                       match=rf"model\.txt:{at + 1}-\d+: invalid standardizer"):
+        iof.load_model(str(path))
+
+
 def _corruptions(lines):
     """Every single-line corruption of a model file's rows: a row dropped,
     duplicated or swapped with the next; one token added or removed; the
