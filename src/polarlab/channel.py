@@ -159,6 +159,13 @@ def estimate_fer(
     parallelism.
     """
     mask.validate_for(spec)
+    llr = 2.0 / channel.noise_variance  # of a noiseless symbol
+    limit = float(np.finfo(decoder.dtype).max)
+    if llr > limit:
+        raise InvalidArgument(
+            f"Eb/N0 {channel.ebn0_db} dB gives noiseless LLRs of {llr:.4g}, "
+            f"more than a {np.dtype(decoder.dtype).name} decoder holds "
+            f"({limit:.8g})")
     n_batches = -(-mc.max_frames // BATCH_FRAMES)
 
     def batch_size(b):

@@ -17,21 +17,35 @@ every pass over a level moves, and rejects LLRs float32 cannot hold.
 min(|a|, |b|) and the sign-bit operations are exact at any width; only the
 cast of the channel LLRs, g's add and the metric sums round, so a decision
 can move only where that rounding flips a leaf's sign or the order of two
-fork candidates. SC and SCL share one g/f descent. SCL adds a path axis and
-one path-pointer array per level index l < n - 1, which serves LLR level
-l + 1 while bit l of the position is clear and the partial sums at level l
-while it is set, so a fork re-points paths (Tal & Vardy's lazy copy) and a
-level is gathered only when read. A fork keeps the P smallest of 2P
-candidate metrics, ties to the lower fork index. Metrics are +0.0 or more,
-so the signed integers of their width order as their values: wide forks
-sort one key per candidate, those bits less the sign bit and the low bits,
-which hold the column (up to 6 of float32's 23 mantissa bits at list size
-32); rows whose first P + 1 keys tie above the column or hold a NaN take the
-stable argsort. SC keeps its own decision loop as the reference that SCL
-with list size 1 is tested against, and its genie_zero mode gives the
-genie-aided per-position error statistics.
+fork candidates. SC and SCL share one g/f descent. SCL walks a schedule
+compiled once per mask: aligned nodes (first position, level, frozen), each
+one block of the tree. A leaf is the level-0 node, and the leaves-only
+schedule is the position-by-position walk that SC, exact metrics and
+exact_f keep. The approximate min-sum decoder decodes each all-frozen
+block as one Rate-0 node (metric + sum of max(0, -alpha) over the block's
+LLRs, an all-zero block folded) and each block frozen but for its last
+position as one REP node (one fork between metric + sum of max(0, -alpha)
+and metric + sum of max(0, alpha), an all-u block folded), after Sarkis et
+al. (Fast-SSC) and Hashemi, Condo & Gross (Fast-SSCL). For min-sum f,
+max(0, -f(a, b)) + max(0, -(a + b)) = max(0, -a) + max(0, -b) and
+max(0, -f(a, b)) + max(0, a + b) = max(0, a) + max(0, b), so these are the
+leaf walk's fork candidates up to the rounding order of the float32 sums.
+SCL adds a path axis and one path-pointer array per level index l < n - 1,
+which serves LLR level l + 1 while bit l of the position is clear and the
+partial sums at level l while it is set, so a fork re-points paths (Tal &
+Vardy's lazy copy) and a level is gathered only when read. A fork keeps
+the P smallest of 2P candidate metrics, ties to the lower fork index, and
+records its parents and bits for the final backtrack. Metrics are +0.0 or
+more, so the signed integers of their width order as their values: wide
+forks sort one key per candidate, those bits less the sign bit and the low
+bits, which hold the column (up to 6 of float32's 23 mantissa bits at list
+size 32); rows whose first P + 1 keys tie above the column or hold a NaN
+take the stable argsort. SC keeps its own decision loop as the reference
+that SCL with list size 1 is tested against, and its genie_zero mode gives
+the genie-aided per-position error statistics.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +135,11 @@ class DecoderConfig:
     magnitude. 'exact' metrics and 'exact_f' stay float64: they round in
     every logaddexp, and full-list SCL's ML equivalence and the genie-aided
     statistics are checked with them.
+
+    The float32 SCL decoders are also the ones that decode Rate-0 and REP
+    nodes (see the module docstring): their node metrics equal the leaf
+    walk's only for min-sum f and the max(0, -llr) metric. SC, 'exact'
+    metrics and 'exact_f' decode leaf by leaf.
     """
 
     algorithm: str = "scl"
@@ -264,7 +283,7 @@ def sc_decode_batch(
     frozen = mask.bits
 
     for i in range(N):
-        leaf = _descend(llr_lvl, sums, i, n, f_func)
+        leaf = _descend(llr_lvl, sums, i, n, f_func)[0]
         if genie_zero:
             errs[:, i] = leaf < 0
             u = np.zeros(B, dtype=np.uint8)
@@ -281,27 +300,28 @@ def sc_decode_batch(
     return u_hat[:, mask.info_positions()]
 
 
-def _descend(llr_lvl, sums, i, n, f_func):
-    """Position i's g at its trailing-zeros level (none at i = 0), then f
-    down to the leaf; returns the leaf row. Level l's new block is computed
-    from the two halves of level l + 1's."""
+def _descend(llr_lvl, sums, i, n, f_func, level=0):
+    """The LLR block of the node at position i and level `level` (i a
+    multiple of 2**level): g at i's trailing-zeros level (none at i = 0),
+    then f down to that level. Level l's new block is computed from the two
+    halves of level l + 1's."""
     top = n
     if i:
         top = (i & -i).bit_length() - 1  # trailing zeros
         h = 1 << top
         blk = llr_lvl[top + 1]
         llr_lvl[top] = _g(blk[:h], blk[h:], sums[top])
-    for l in range(top - 1, -1, -1):
+    for l in range(top - 1, level - 1, -1):
         h = 1 << l
         blk = llr_lvl[l + 1]
         llr_lvl[l] = f_func(blk[:h], blk[h:])
-    return llr_lvl[0][0]
+    return llr_lvl[level]
 
 
-def _propagate_sums(sums, u, i):
-    """Fold the decided bit i (not the last) into the partial-sum stacks."""
-    c = u
-    pos, l = i, 0
+def _propagate_sums(sums, c, i, level=0):
+    """Fold the decided block c of the node at position i and level `level`
+    (not the last node) into the partial-sum stacks."""
+    pos, l = i >> level, level
     while pos & 1:
         c = np.concatenate([sums[l] ^ c, c])
         pos >>= 1
@@ -311,6 +331,29 @@ def _propagate_sums(sums, u, i):
 
 # ---------------------------------------------------------------------------
 # SCL (batched)
+
+
+@functools.lru_cache(maxsize=16)
+def _compile(bits: bytes, nodes: bool) -> tuple:
+    """The node schedule of a frozen mask (its bytes): aligned nodes
+    (first position, level, frozen) in decoding order, tiling [0, N). With
+    nodes=False every node is a leaf; otherwise each block of the mask's
+    tree that is all frozen (a Rate-0 node, frozen=True) or frozen but its
+    last position (a REP node) is one node, as high in the tree as it
+    goes."""
+    flags = np.frombuffer(bits, np.uint8)
+    schedule = []
+
+    def visit(s, l):
+        blk = flags[s:s + (1 << l)]
+        if blk[:-1].all() and (nodes or l == 0):  # true for a leaf
+            schedule.append((s, l, bool(blk[-1])))
+        else:
+            visit(s, l - 1)
+            visit(s + (1 << (l - 1)), l - 1)
+
+    visit(0, flags.size.bit_length() - 1)
+    return tuple(schedule)
 
 
 def scl_decode_batch(
@@ -324,15 +367,22 @@ def scl_decode_batch(
     Path pruning keeps the list_size smallest metrics with stable order
     (metric ascending, then fork index ascending), so results are fully
     deterministic; `_select` finds them by one sort of exact integer keys.
+    The approximate min-sum decoder walks the mask's Rate-0 and REP nodes,
+    the others its leaves (see DecoderConfig).
     """
     mask.validate_for(spec)
     channel = _checked_llrs(spec, llrs, config.dtype)
+    schedule = _compile(mask.bits.tobytes(), config.dtype == np.float32)
+    return _scl_walk(channel, spec.k_info, config, schedule)
+
+
+def _scl_walk(channel, k_info, config, schedule):
+    """SCL over the (N, B) channel level, node by node of the schedule."""
     N, B = channel.shape
     P = config.list_size
     f_func = _F_FUNCS[config.node_mode]
     penalty = np.logaddexp if config.metric_mode == "exact" else np.maximum
-    n = spec.stages
-    frozen = mask.bits
+    n = N.bit_length() - 1
 
     # per-level path state as in SC plus a path axis: llr_lvl[l] and sums[l]
     # are (2**l, B, P), or (2**l, B, 1) for the channel and the levels
@@ -346,9 +396,11 @@ def scl_decode_batch(
     # gathers it and resets ptr[l], and the other is written, as a new array
     # holding every path in order, under that identity pointer. The f loop
     # reads what the same descent wrote, and g reads partial sums written
-    # after the last fork, so neither needs a read. There is no ptr[n - 1]:
-    # LLR level n is the channel, and only g at N/2 reads the partial sums
-    # at level n - 1, before any later fork
+    # after the last fork, so neither needs a read. A node at level l starts
+    # with ptr[:l] reset, and its fork leaves them so: its own block is all
+    # it folds below level l. There is no ptr[n - 1]: LLR level n is the
+    # channel, and only g at N/2 reads the partial sums at level n - 1,
+    # before any later fork
     llr_lvl = [None] * n + [channel[:, :, None]]
     sums = [None] * n
     ptr = [None] * (n - 1)
@@ -356,9 +408,11 @@ def scl_decode_batch(
     metrics[:, 0] = 0.0
     row0 = np.arange(B)[:, None] * P
     # fork history for final backtracking (cheaper than gathering a full
-    # per-path decision array at every fork)
-    fork_parents: list[np.ndarray] = []
-    fork_bits: list[np.ndarray] = []
+    # per-path decision array at every fork): fork j's parents, in the
+    # smallest unsigned type that holds P - 1, and bits
+    parents = np.empty((k_info, B, P), np.min_scalar_type(P - 1))
+    fork_bits = np.empty((k_info, B, P), np.uint8)
+    fork = 0
 
     def read(bufs, l, k):
         # gather level l through ptr[k]; a (., B, 1) level is one block that
@@ -368,45 +422,51 @@ def scl_decode_batch(
             bufs[l] = np.take(flat, ptr[k], axis=1).reshape(bufs[l].shape)
         ptr[k] = None
 
-    for i in range(N):
-        leaf = _descend(llr_lvl, sums, i, n, f_func)  # (B, P) or (B, 1)
+    def node_penalty(alpha):  # (B, P) or (B, 1): the sum over the block
+        return penalty(0.0, alpha)[0] if len(alpha) == 1 \
+            else penalty(0.0, alpha).sum(axis=0)
 
-        pen0 = penalty(0.0, -leaf)
-        if frozen[i]:
+    for s, l, frozen in schedule:
+        alpha = _descend(llr_lvl, sums, s, n, f_func, l)
+        pen0 = node_penalty(-alpha)
+        if frozen:
             metrics = metrics + pen0
-            u = np.zeros((B, P), dtype=np.uint8)
+            block = np.zeros((1 << l, B, P), np.uint8)
         else:
             # candidate index = 2*parent + u so the stable sort breaks
             # metric ties by fork index
             cand = np.empty((B, 2 * P), config.dtype)
             cand[:, 0::2] = metrics + pen0
-            cand[:, 1::2] = metrics + penalty(0.0, leaf)
+            cand[:, 1::2] = metrics + node_penalty(alpha)
             order = _select(cand, P)
             parent = order >> 1
             u = (order & 1).astype(np.uint8)
-            metrics = np.take_along_axis(cand, order, axis=1)
-            fork_parents.append(parent)
-            fork_bits.append(u)
+            metrics = cand.take(order + 2 * row0)  # flat indices
+            parents[fork] = parent
+            fork_bits[fork] = u
+            fork += 1
+            block = np.repeat(u[None], 1 << l, axis=0)
             # each new path reads what its parent row read
             rows = (row0 + parent).ravel()
-            ptr = [rows if p is None else p[rows] for p in ptr]
+            ptr[l:] = [rows if p is None else p[rows] for p in ptr[l:]]
 
-        ones = (i ^ (i + 1)).bit_length() - 1  # trailing ones of i
-        if ones < n:  # the last bit's fold feeds no later position
-            for l in range(ones):
-                read(sums, l, l)
-            _propagate_sums(sums, u[None], i)
-            if ones < n - 1:  # the parent of position i+1's g
+        last = s + (1 << l) - 1
+        ones = (last ^ (last + 1)).bit_length() - 1  # trailing ones
+        if ones < n:  # the last node's fold feeds no later position
+            for k in range(l, ones):
+                read(sums, k, k)
+            _propagate_sums(sums, block, s, l)
+            if ones < n - 1:  # the parent of the next node's g
                 read(llr_lvl, ones + 1, ones)
 
     # backtrack from the minimum-metric final path (ties: lowest index)
-    best = np.argmin(metrics, axis=1)
-    info = mask.info_positions()
-    payload = np.empty((B, info.size), dtype=np.uint8)
-    idx = best[:, None]
-    for j in range(len(fork_parents) - 1, -1, -1):
-        payload[:, j] = np.take_along_axis(fork_bits[j], idx, axis=1)[:, 0]
-        idx = np.take_along_axis(fork_parents[j], idx, axis=1)
+    # through flat indices b*P + p into each fork's (B, P) records
+    first = row0.ravel()
+    at = np.argmin(metrics, axis=1) + first
+    payload = np.empty((B, k_info), dtype=np.uint8)
+    for j in range(k_info - 1, -1, -1):
+        payload[:, j] = fork_bits[j].take(at)
+        at = parents[j].take(at) + first
     return payload
 
 

@@ -93,7 +93,7 @@ def _pgd_restarts(params: MlpParams, standardizer: Standardizer,
     keeps the surrogate's rows independent.
     """
     kept = standardizer.kept_indices
-    quota = int(base_mask.bits[kept].sum())
+    quota = int((standardizer.signed_bits(base_mask.bits) > 0).sum())
     rows = len(restart_indices)
     relaxed = np.full((rows, kept.size), -1.0)
     for row, j in zip(relaxed, restart_indices):

@@ -71,7 +71,12 @@ class Standardizer:
     def signed_bits(self, masks: np.ndarray) -> np.ndarray:
         """Kept coordinates of 0/1 mask rows, remapped to -1/+1."""
         masks = np.atleast_2d(np.asarray(masks))
-        return 2.0 * masks[:, self.kept_indices].astype(np.float64) - 1.0
+        kept = self.kept_indices
+        if kept.size and kept[-1] >= masks.shape[1]:
+            raise InvalidArgument(
+                f"model input index {kept[-1]} is out of range for masks of "
+                f"N = {masks.shape[1]}")
+        return 2.0 * masks[:, kept].astype(np.float64) - 1.0
 
     def transform_signed(self, signed: np.ndarray) -> np.ndarray:
         return (signed - self.in_mean) / self.in_std

@@ -318,3 +318,42 @@ def test_search_rejects_dataset_with_invalid_decoder(tmp_path, dataset_file):
                "--iters", "2", "--restarts", "1",
                "--out", str(tmp_path / "cand.txt")) == 3
     assert not (tmp_path / "cand.txt").exists()
+
+
+def test_ebn0_past_the_decoder_width_is_a_usage_error(tmp_path, mask_file,
+                                                      capsys):
+    # at rate 1/2 a noiseless symbol's LLR passes float32's largest finite
+    # value above about 382 dB, and float64's only above about 3080 dB
+    out = tmp_path / "fer"
+    assert run("simulate", "--mask", mask_file, "--ebn0", "400",
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "Eb/N0 400.0 dB" in err and "float32 decoder" in err
+    assert not list(tmp_path.glob("fer*"))
+    assert run("simulate", "--mask", mask_file, "--ebn0", "0,400",
+               "--node", "exact_f", "--list-size", "2", "--target-errors",
+               "5", "--max-frames", "2000", "--out", str(out)) == 0
+    rows = (tmp_path / "fer.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[:2] for r in rows][1] == ["400", "0"]
+
+
+def test_model_inputs_past_the_dataset_n_are_a_usage_error(
+        tmp_path, dataset_file, capsys):
+    model = tmp_path / "model.txt"
+    assert run("train", "--dataset", dataset_file, "--epochs", "2",
+               "--hidden", "8", "--depth", "2", "--gap", "1",
+               "--out", str(model)) == 0
+    lines = model.read_text().splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("kept_indices"))
+    lines[at] = " ".join(lines[at].split()[:-1] + ["40"])  # N is 32
+    model.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("eval", "--model", str(model), "--dataset", dataset_file) == 2
+    assert "index 40 is out of range for masks of N = 32" in \
+        capsys.readouterr().err
+    out = tmp_path / "cand.txt"
+    assert run("search", "--model", str(model), "--dataset", dataset_file,
+               "--iters", "2", "--restarts", "1", "--out", str(out)) == 2
+    assert "index 40 is out of range for masks of N = 32" in \
+        capsys.readouterr().err
+    assert not list(tmp_path.glob("cand*"))

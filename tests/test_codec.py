@@ -1,5 +1,6 @@
 """Codec tests: encoding against the Kronecker-matrix oracle, SC hand
-traces, SCL list semantics, and ML equivalence on a small code."""
+traces, SCL list semantics, ML equivalence on a small code, and the SCL
+node schedule against the leaf walk."""
 
 import itertools
 
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 
 from polarlab import codec
 from polarlab.codec import (_KEY_SORT_MIN_WIDTH, CodeSpec, DecoderConfig,
-                            FrozenMask, _f_min_sum, _g, _select, decode_batch,
-                            encode, polar_transform, sc_decode_batch,
+                            FrozenMask, _checked_llrs, _compile, _f_min_sum,
+                            _g, _scl_walk, _select, decode_batch, encode,
+                            polar_transform, sc_decode_batch,
                             scl_decode_batch)
+from polarlab.construction import build_mask, ga_reliabilities
 from polarlab.errors import InvalidArgument
 
 
@@ -232,7 +235,6 @@ def test_scl_full_list_exact_metric_is_ml(n, k, list_size, mask_seed):
 
 
 def test_scl_fer_improves_with_list_size():
-    from polarlab.construction import build_mask, ga_reliabilities
     spec = CodeSpec(64, 32)
     mask = build_mask(spec, ga_reliabilities(spec, 2.5))
     rng = np.random.default_rng(23)
@@ -441,3 +443,166 @@ def test_scl_paths_match_stable_argsort_selection(list_size, llr_kind,
         monkeypatch.setattr(codec, "_select", stable_argsort)
         want = scl_decode_batch(spec, mask, cfg, llrs)
     assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the SCL node schedule: Rate-0 and REP nodes against the leaf walk
+
+
+def random_mask(rng, n, kind):
+    """An N = 2**n mask with a random frozen set, or with one information
+    bit, or with one frozen bit (N = 1 and 2 allow only one of these)."""
+    N = 1 << n
+    k = {"random": int(rng.integers(1, max(N, 2))), "one_info": 1,
+         "one_frozen": max(N - 1, 1)}[kind]
+    bits = np.ones(N, dtype=np.uint8)
+    bits[rng.permutation(N)[:k]] = 0
+    return CodeSpec(N, k), FrozenMask(bits)
+
+
+def ga_mask(n, k):
+    spec = CodeSpec(n, k)
+    return spec, build_mask(spec, ga_reliabilities(spec, 3.2))
+
+
+def test_schedules_tile_the_code_with_aligned_maximal_nodes():
+    rng = np.random.default_rng(5)
+    masks = [ga_mask(64, 32), ga_mask(256, 128)] + [
+        random_mask(rng, n, kind) for n in range(9)
+        for kind in ("random", "one_info", "one_frozen") for _ in range(4)]
+    for spec, mask in masks:
+        bits = mask.bits
+        for nodes in (False, True):
+            schedule = _compile(bits.tobytes(), nodes)
+            end = 0
+            for s, l, frozen in schedule:
+                assert s == end and s % (1 << l) == 0
+                end = s + (1 << l)
+                blk = bits[s:end]
+                # all frozen (Rate-0) or frozen but the last (REP)
+                assert blk[:-1].all() and frozen == bool(blk[-1])
+                if not nodes:
+                    assert l == 0
+                elif l < spec.stages:  # and its parent block is neither
+                    first = s & -(2 << l)
+                    assert not bits[first:first + (2 << l)][:-1].all()
+            assert end == spec.n_bits
+            assert sum(not f for _, _, f in schedule) == spec.k_info
+    # the node visits of the GA masks at 3.2 dB, leaves -> nodes
+    assert len(_compile(ga_mask(64, 32)[1].bits.tobytes(), True)) == 35
+    assert len(_compile(ga_mask(256, 128)[1].bits.tobytes(), True)) == 132
+
+
+def test_only_approximate_min_sum_scl_decodes_nodes(monkeypatch):
+    # a spy on the descent records the (position, level) of every node
+    spec, mask = ga_mask(64, 32)
+    llrs = np.random.default_rng(3).normal(1, 2, (8, 64))
+    visits = []
+    descend = codec._descend
+
+    def spy(llr_lvl, sums, i, n, f_func, level=0):
+        visits.append((i, level))
+        return descend(llr_lvl, sums, i, n, f_func, level)
+
+    monkeypatch.setattr(codec, "_descend", spy)
+    leaves = [(i, 0) for i in range(64)]
+    for cfg in (DecoderConfig("sc"), DecoderConfig("sc", node_mode="exact_f"),
+                DecoderConfig("scl", 4, "exact", "min_sum_f"),
+                DecoderConfig("scl", 4, "approximate", "exact_f"),
+                DecoderConfig("scl", 4, "exact", "exact_f")):
+        visits.clear()
+        decode_batch(spec, mask, cfg, llrs)
+        assert visits == leaves, cfg
+    for P in (1, 4):
+        visits.clear()
+        decode_batch(spec, mask, DecoderConfig("scl", P), llrs)
+        assert visits == [(s, l) for s, l, _ in
+                          _compile(mask.bits.tobytes(), True)]
+        assert len(visits) == 35
+
+
+def dyadic_llrs(rng, shape):
+    """LLRs k * 2**e with |k| <= 64, one e in [-102, 96] per batch: every
+    f, g and metric sum of an N <= 256 decode of them is exact in float32,
+    so the node and leaf walks see equal fork candidates."""
+    return np.ldexp(rng.integers(-64, 65, shape).astype(np.float64),
+                    int(rng.integers(-102, 97)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8), st.sampled_from(["random", "one_info", "one_frozen"]),
+       st.sampled_from([1, 2, 3, 4, 8, 32]), st.integers(0, 2**32 - 1))
+def test_node_walk_matches_leaf_walk(n, kind, P, seed):
+    rng = np.random.default_rng(seed)
+    spec, mask = random_mask(rng, n, kind)
+    cfg = DecoderConfig("scl", P)
+    llrs = dyadic_llrs(rng, (6, spec.n_bits))
+    channel = _checked_llrs(spec, llrs, cfg.dtype)
+    got = _scl_walk(channel, spec.k_info, cfg,
+                    _compile(mask.bits.tobytes(), True))
+    want = _scl_walk(channel, spec.k_info, cfg,
+                     _compile(mask.bits.tobytes(), False))
+    assert np.array_equal(got, want)
+    assert np.array_equal(scl_decode_batch(spec, mask, cfg, llrs), got)
+
+
+def assert_within_an_ulp(got, want):
+    # equal, or one rounding of a float64 sum apart
+    with np.errstate(over="ignore", invalid="ignore"):  # inf: no spacing
+        near = np.abs(got - want) <= np.spacing(np.abs(want))
+    assert np.all((got == want) | near)
+
+
+def test_node_metric_identities():
+    # max(0, -f(a, b)) + max(0, -(a + b)) = max(0, -a) + max(0, -b) and
+    # max(0, -f(a, b)) + max(0, a + b) = max(0, a) + max(0, b): the Rate-0
+    # and REP node metrics equal the leaf walk's over a level-1 block
+    rng = np.random.default_rng(9)
+    edge = EDGE_LLRS[np.float64]
+    a, b = (v.ravel() for v in np.meshgrid(edge, edge))
+    x = rng.normal(0, 3, (2, 4096)) * np.exp(rng.normal(0, 4, (2, 4096)))
+    ties = rng.integers(-3, 4, (2, 4096)).astype(np.float64)  # |a| = |b|
+    for a, b, exact in ((a, b, False), (*x, False), (*ties, True),
+                        (ties[0], -ties[0], True)):
+        u = np.zeros(a.shape, np.uint8)
+        with np.errstate(over="ignore"):
+            f, g = _f_min_sum(a, b), _g(a, b, u)
+        left0 = np.maximum(0, -f) + np.maximum(0, -g)
+        left1 = np.maximum(0, -f) + np.maximum(0, g)
+        with np.errstate(over="ignore"):
+            right0 = np.maximum(0, -a) + np.maximum(0, -b)
+            right1 = np.maximum(0, a) + np.maximum(0, b)
+        if exact:
+            assert np.array_equal(left0, right0)
+            assert np.array_equal(left1, right1)
+        else:
+            assert_within_an_ulp(left0, right0)
+            assert_within_an_ulp(left1, right1)
+
+
+@pytest.mark.parametrize("metric_mode,node_mode", [
+    ("exact", "exact_f"), ("approximate", "min_sum_f")])
+def test_backtrack_past_255_paths(metric_mode, node_mode):
+    # list size 512 keeps parents in uint16. With K = 10 and the last info
+    # bit the last position, only the last fork prunes, and it keeps the
+    # 512 best of all 1024 codewords, so both decoders are ML (min-sum on
+    # exact sums). The six frozen bits before it re-rank the 512 prefixes,
+    # so the winner's parent there can have an index past 255
+    spec, P = CodeSpec(16, 10), 512
+    bits = np.zeros(16, dtype=np.uint8)
+    bits[9:15] = 1
+    mask = FrozenMask(bits)
+    cfg = DecoderConfig("scl", P, metric_mode, node_mode)
+    assert _compile(bits.tobytes(), True)[-2:] == ((10, 1, True),
+                                                   (12, 2, False))
+    payloads = np.array(list(itertools.product([0, 1], repeat=10)),
+                        dtype=np.uint8)
+    signs = 1.0 - 2.0 * encode(spec, mask, payloads)
+    rng = np.random.default_rng(29)
+    llrs = rng.integers(-4096, 4097, (64, 16)) / 1024.0
+    scores = llrs @ signs.T
+    top2 = np.sort(scores, axis=1)[:, -2:]
+    llrs = llrs[top2[:, 1] > top2[:, 0]]  # no tie for the first place
+    ml = payloads[np.argmax(llrs @ signs.T, axis=1)]
+    assert len(llrs) > 50
+    assert np.array_equal(scl_decode_batch(spec, mask, cfg, llrs), ml)
