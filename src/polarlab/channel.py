@@ -4,7 +4,10 @@ Frames are simulated in fixed-size batches. Each batch draws from its own
 Philox counter-based stream keyed by (seed, batch index), so every frame's
 randomness is a pure function of the global seed and its frame index and
 results are bit-identical for any worker count. Workers parallelize the
-batches of a round; the set of batches contributing to the estimate is
+batches of a round; a worker decodes a contiguous group of them in one
+call (a frame decodes the same in any batch), up to a budget of decoder
+state, so small codes make fewer, wider NumPy calls and threads contend
+less for the GIL. The set of batches contributing to the estimate is
 decided from cumulative counts in batch order only.
 """
 
@@ -27,6 +30,9 @@ __all__ = [
 
 BATCH_FRAMES = 512
 ROUND_BATCHES = 8
+# path-positions (frames x list size x N) a call of several batches may
+# decode: 1024 frames at (64,32) SCL-4, one batch once list size x N >= 512
+_DECODE_BUDGET = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -134,14 +140,21 @@ def transmit(codeword: np.ndarray, channel: ChannelConfig,
     return 2.0 * y / sigma2
 
 
-def _simulate_batch(spec, mask, decoder, channel, seed, batch_index, size):
-    """Simulate `size` frames of batch `batch_index`; returns error count."""
-    rng = _batch_rng(seed, batch_index)
-    payload = (rng.random((size, spec.k_info)) < 0.5).astype(np.uint8)
-    codewords = encode(spec, mask, payload)
-    llrs = transmit(codewords, channel, rng)
+def _simulate_group(spec, mask, decoder, channel, mc, group):
+    """Simulate the batches of `group`, a range of batch indices, each from
+    its own stream, and decode them in one call; returns (frames, errors)."""
+    first = group.start * BATCH_FRAMES
+    frames = min(group.stop * BATCH_FRAMES, mc.max_frames) - first
+    payload = np.empty((frames, spec.k_info), np.uint8)
+    llrs = np.empty((frames, spec.n_bits))
+    for b in group:
+        lo = b * BATCH_FRAMES - first
+        rows = slice(lo, min(lo + BATCH_FRAMES, frames))
+        rng = _batch_rng(mc.seed, b)
+        payload[rows] = rng.random((rows.stop - lo, spec.k_info)) < 0.5
+        llrs[rows] = transmit(encode(spec, mask, payload[rows]), channel, rng)
     decoded = decode_batch(spec, mask, decoder, llrs)
-    return int(np.any(decoded != payload, axis=1).sum())
+    return frames, int(np.any(decoded != payload, axis=1).sum())
 
 
 def estimate_fer(
@@ -156,7 +169,9 @@ def estimate_fer(
     Batches are scheduled in fixed rounds of ROUND_BATCHES regardless of
     worker count; the estimate always covers whole rounds, so it can
     overshoot the error target by at most one round but never depends on
-    parallelism.
+    parallelism. Each round splits into contiguous groups of at most
+    ceil(batches / workers) batches and at most the decode budget's, each
+    one pool task and one decoder call; every batch keeps its own stream.
     """
     mask.validate_for(spec)
     llr = 2.0 / channel.noise_variance  # of a noiseless symbol
@@ -167,20 +182,21 @@ def estimate_fer(
             f"more than a {np.dtype(decoder.dtype).name} decoder holds "
             f"({limit:.8g})")
     n_batches = -(-mc.max_frames // BATCH_FRAMES)
+    per_call = max(1, _DECODE_BUDGET // (
+        BATCH_FRAMES * decoder.list_size * spec.n_bits))
 
-    def batch_size(b):
-        return min(BATCH_FRAMES, mc.max_frames - b * BATCH_FRAMES)
-
-    def run(b):
-        return _simulate_batch(spec, mask, decoder, channel, mc.seed, b,
-                               batch_size(b))
+    def run(group):
+        return _simulate_group(spec, mask, decoder, channel, mc, group)
 
     frames = errors = 0
     with ThreadPoolExecutor(mc.workers) as pool:
         for start in range(0, n_batches, ROUND_BATCHES):
             batches = range(start, min(start + ROUND_BATCHES, n_batches))
-            for b, err in zip(batches, pool.map(run, batches)):
-                frames += batch_size(b)
+            step = min(-(-len(batches) // mc.workers), per_call)
+            groups = [batches[i:i + step]
+                      for i in range(0, len(batches), step)]
+            for size, err in pool.map(run, groups):
+                frames += size
                 errors += err
             if errors >= mc.target_frame_errors:
                 break

@@ -35,8 +35,9 @@ which serves LLR level l + 1 while bit l of the position is clear and the
 partial sums at level l while it is set, so a fork re-points paths (Tal &
 Vardy's lazy copy) and a level is gathered only when read. A fork keeps
 the P smallest of 2P candidate metrics, ties to the lower fork index, and
-records its parents and bits for the final backtrack. Metrics are +0.0 or
-more, so the signed integers of their width order as their values: wide
+records their indices 2 * parent + bit for the final backtrack. Metrics
+are +0.0 or more, so the signed integers of their width order as their
+values: wide
 forks sort one key per candidate, those bits less the sign bit and the low
 bits, which hold the column (up to 6 of float32's 23 mantissa bits at list
 size 32); rows whose first P + 1 keys tie above the column or hold a NaN
@@ -408,10 +409,10 @@ def _scl_walk(channel, k_info, config, schedule):
     metrics[:, 0] = 0.0
     row0 = np.arange(B)[:, None] * P
     # fork history for final backtracking (cheaper than gathering a full
-    # per-path decision array at every fork): fork j's parents, in the
-    # smallest unsigned type that holds P - 1, and bits
-    parents = np.empty((k_info, B, P), np.min_scalar_type(P - 1))
-    fork_bits = np.empty((k_info, B, P), np.uint8)
+    # per-path decision array at every fork): fork j's survivors as
+    # candidate indices 2*parent + u, in the smallest unsigned type that
+    # holds 2P - 1
+    history = np.empty((k_info, B, P), np.min_scalar_type(2 * P - 1))
     fork = 0
 
     def read(bufs, l, k):
@@ -439,15 +440,13 @@ def _scl_walk(channel, k_info, config, schedule):
             cand[:, 0::2] = metrics + pen0
             cand[:, 1::2] = metrics + node_penalty(alpha)
             order = _select(cand, P)
-            parent = order >> 1
-            u = (order & 1).astype(np.uint8)
             metrics = cand.take(order + 2 * row0)  # flat indices
-            parents[fork] = parent
-            fork_bits[fork] = u
+            history[fork] = order
             fork += 1
+            u = (order & 1).astype(np.uint8)
             block = np.repeat(u[None], 1 << l, axis=0)
             # each new path reads what its parent row read
-            rows = (row0 + parent).ravel()
+            rows = (row0 + (order >> 1)).ravel()
             ptr[l:] = [rows if p is None else p[rows] for p in ptr[l:]]
 
         last = s + (1 << l) - 1
@@ -465,8 +464,9 @@ def _scl_walk(channel, k_info, config, schedule):
     at = np.argmin(metrics, axis=1) + first
     payload = np.empty((B, k_info), dtype=np.uint8)
     for j in range(k_info - 1, -1, -1):
-        payload[:, j] = fork_bits[j].take(at)
-        at = parents[j].take(at) + first
+        c = history[j].take(at)
+        payload[:, j] = c & 1
+        at = (c >> 1) + first
     return payload
 
 

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
+from polarlab import channel
 from polarlab.channel import (BATCH_FRAMES, ChannelConfig, FerEstimate,
-                              MonteCarloConfig, _batch_rng, estimate_fer,
-                              transmit)
+                              MonteCarloConfig, _batch_rng, _simulate_group,
+                              estimate_fer, transmit)
 from polarlab.codec import CodeSpec, DecoderConfig, FrozenMask
+from polarlab.construction import build_mask, ga_reliabilities
 from polarlab.errors import InvalidArgument
 
 
@@ -79,6 +81,52 @@ def test_worker_count_does_not_change_estimate():
         for w in (1, 4, 8)
     ]
     assert results[0] == results[1] == results[2]
+
+
+def test_grouped_batches_match_batch_by_batch_at_any_worker_count():
+    # (32,16) SCL-2 decodes up to 8 batches per call, so a round goes to
+    # 1, 2, 3 or 8 calls at these worker counts. 11 batches, the last one
+    # partial, make a second round of 3 that ends in the partial batch
+    spec = CodeSpec(32, 16)
+    mask = build_mask(spec, ga_reliabilities(spec, 2.0))
+    dec = DecoderConfig("scl", 2)
+    ch = ChannelConfig(1.0, 0.5)
+    max_frames = 10 * BATCH_FRAMES + 300
+    results = [estimate_fer(spec, mask, dec, ch,
+                            MonteCarloConfig(11, 10**9, max_frames, w))
+               for w in (1, 2, 3, 8)]
+    assert results[1:] == results[:-1]
+    mc = MonteCarloConfig(11, 10**9, max_frames)
+    errors = sum(_simulate_group(spec, mask, dec, ch, mc, range(b, b + 1))[1]
+                 for b in range(11))
+    assert (results[0].frames, results[0].frame_errors) == (max_frames,
+                                                            errors)
+    assert 0 < errors < max_frames
+
+
+@pytest.mark.parametrize("n,k,list_size,max_frames,rows", [
+    (64, 32, 4, 4 * 2 * BATCH_FRAMES, {2 * BATCH_FRAMES}),
+    (256, 128, 32, 2 * BATCH_FRAMES + 76, {BATCH_FRAMES, 76})],
+    ids=["n64_scl4", "n256_scl32"])
+def test_decode_calls_hold_at_most_the_budget(n, k, list_size, max_frames,
+                                              rows, monkeypatch):
+    # two batches per call at (64,32) SCL-4, one at (256,128) SCL-32,
+    # whose decoder state at 512 frames is as large as a call should hold
+    spec = CodeSpec(n, k)
+    mask = build_mask(spec, ga_reliabilities(spec, 3.2))
+    seen = []
+    decode = channel.decode_batch
+
+    def spy(spec, mask, config, llrs):
+        seen.append(len(llrs))
+        return decode(spec, mask, config, llrs)
+
+    monkeypatch.setattr(channel, "decode_batch", spy)
+    est = estimate_fer(spec, mask, DecoderConfig("scl", list_size),
+                       ChannelConfig(3.2, 0.5),
+                       MonteCarloConfig(3, 10**9, max_frames, workers=2))
+    assert est.frames == sum(seen) == max_frames
+    assert set(seen) == rows
 
 
 def test_seed_changes_stream_batch_keying():

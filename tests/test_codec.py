@@ -580,22 +580,23 @@ def test_node_metric_identities():
             assert_within_an_ulp(left1, right1)
 
 
-@pytest.mark.parametrize("metric_mode,node_mode", [
-    ("exact", "exact_f"), ("approximate", "min_sum_f")])
-def test_backtrack_past_255_paths(metric_mode, node_mode):
-    # list size 512 keeps parents in uint16. With K = 10 and the last info
-    # bit the last position, only the last fork prunes, and it keeps the
-    # 512 best of all 1024 codewords, so both decoders are ML (min-sum on
-    # exact sums). The six frozen bits before it re-rank the 512 prefixes,
-    # so the winner's parent there can have an index past 255
-    spec, P = CodeSpec(16, 10), 512
+def last_fork_code(P):
+    """An N = 16 code with K = log2(P) + 1 whose last info bit is the last
+    position: under list size P only the last fork prunes."""
+    k = P.bit_length()
     bits = np.zeros(16, dtype=np.uint8)
-    bits[9:15] = 1
-    mask = FrozenMask(bits)
+    bits[k - 1:15] = 1
+    return CodeSpec(16, k), FrozenMask(bits)
+
+
+def assert_last_fork_keeps_ml(P, metric_mode, node_mode):
+    """The last fork of last_fork_code(P) keeps the P best of all 2P
+    codewords, so both decoders are ML (min-sum on exact sums). The frozen
+    bits before it re-rank the P prefixes, so the winner's candidate index
+    at that fork, 2 * parent + bit, can be anything up to 2P - 1."""
+    spec, mask = last_fork_code(P)
     cfg = DecoderConfig("scl", P, metric_mode, node_mode)
-    assert _compile(bits.tobytes(), True)[-2:] == ((10, 1, True),
-                                                   (12, 2, False))
-    payloads = np.array(list(itertools.product([0, 1], repeat=10)),
+    payloads = np.array(list(itertools.product([0, 1], repeat=spec.k_info)),
                         dtype=np.uint8)
     signs = 1.0 - 2.0 * encode(spec, mask, payloads)
     rng = np.random.default_rng(29)
@@ -606,3 +607,95 @@ def test_backtrack_past_255_paths(metric_mode, node_mode):
     ml = payloads[np.argmax(llrs @ signs.T, axis=1)]
     assert len(llrs) > 50
     assert np.array_equal(scl_decode_batch(spec, mask, cfg, llrs), ml)
+
+
+@pytest.mark.parametrize("metric_mode,node_mode", [
+    ("exact", "exact_f"), ("approximate", "min_sum_f")])
+def test_backtrack_past_255_paths(metric_mode, node_mode):
+    # list size 512 keeps candidate indices up to 1023 in uint16; the node
+    # walk takes the last fork in a REP node after a Rate-0 node
+    mask = last_fork_code(512)[1]
+    assert _compile(mask.bits.tobytes(), True)[-2:] == ((10, 1, True),
+                                                        (12, 2, False))
+    assert_last_fork_keeps_ml(512, metric_mode, node_mode)
+
+
+@pytest.mark.parametrize("P", [128, 256])
+@pytest.mark.parametrize("metric_mode,node_mode", [
+    ("exact", "exact_f"), ("approximate", "min_sum_f")])
+def test_fork_history_width_edges(P, metric_mode, node_mode):
+    # candidate indices reach 2P - 1: 255 still fits uint8 at list size
+    # 128, and 511 needs uint16 at list size 256
+    assert_last_fork_keeps_ml(P, metric_mode, node_mode)
+
+
+# ---------------------------------------------------------------------------
+# batch composition: a frame decodes the same in any batch
+
+
+COMPOSITION_CONFIGS = [DecoderConfig("sc"),
+                       DecoderConfig("sc", node_mode="exact_f")] + [
+    DecoderConfig("scl", P, metric_mode, node_mode)
+    for P in (1, 2, 4, 8, 16, 32)
+    for metric_mode, node_mode in (("approximate", "min_sum_f"),
+                                   ("exact", "min_sum_f"),
+                                   ("approximate", "exact_f"),
+                                   ("exact", "exact_f"))]
+
+
+def noisy_llrs(rng, spec, mask, B):
+    """B noisy frames of random codewords; about half the rows rounded to
+    integers, whose fork candidates tie."""
+    payload = rng.integers(0, 2, (B, spec.k_info))
+    llrs = 2.5 * (1.0 - 2.0 * encode(spec, mask, payload)
+                  + rng.normal(0, 0.8, (B, spec.n_bits)))
+    tied = rng.random(B) < 0.5
+    llrs[tied] = np.round(llrs[tied])
+    return llrs
+
+
+def assert_pieces_decode_alike(spec, mask, cfg, llrs, bounds):
+    # decode_batch on a concatenation equals the concatenation of
+    # decode_batch on its pieces, so the Monte Carlo engine may decode any
+    # run of frames in one call
+    whole = decode_batch(spec, mask, cfg, llrs)
+    pieces = [decode_batch(spec, mask, cfg, llrs[lo:hi])
+              for lo, hi in zip(bounds, bounds[1:])]
+    assert np.array_equal(np.concatenate(pieces), whole)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 6), st.sampled_from(COMPOSITION_CONFIGS),
+       st.lists(st.integers(1, 23), max_size=12), st.integers(0, 23),
+       st.integers(0, 2**32 - 1))
+def test_decoding_is_independent_of_batch_composition(n, cfg, cuts, one,
+                                                      seed):
+    rng = np.random.default_rng(seed)
+    spec, mask = random_mask(rng, n, "random")
+    llrs = noisy_llrs(rng, spec, mask, 24)
+    bounds = sorted({0, 24, one, one + 1, *cuts})  # frame `one` alone
+    assert_pieces_decode_alike(spec, mask, cfg, llrs, bounds)
+
+
+@pytest.mark.parametrize("P", [8, 32])
+def test_select_fallback_rows_decode_alike_in_any_batch(P, monkeypatch):
+    # integer-LLR rows whose fork candidates tie take _select's argsort
+    # fallback in the same calls where the other rows take the key sort
+    spec, mask = ga_mask(64, 32)
+    rng = np.random.default_rng(P)
+    llrs = noisy_llrs(rng, spec, mask, 64)
+    mixed = []
+    select = codec._select
+
+    def spy(cand, P):
+        low = np.sort(cand, axis=1)[:, :P + 1]
+        tie = np.any(np.isfinite(low[:, 1:]) & (low[:, 1:] == low[:, :-1]),
+                     axis=1)
+        mixed.append(tie.any() and not tie.all())
+        return select(cand, P)
+
+    monkeypatch.setattr(codec, "_select", spy)
+    cuts = rng.choice(np.arange(1, 64), 20, replace=False)
+    assert_pieces_decode_alike(spec, mask, DecoderConfig("scl", P), llrs,
+                               sorted({0, 64, 30, 31, *cuts}))
+    assert sum(mixed) > 10
