@@ -8,7 +8,8 @@ batches of a round; a worker decodes a contiguous group of them in one
 call (a frame decodes the same in any batch), up to a budget of decoder
 state, so small codes make fewer, wider NumPy calls and threads contend
 less for the GIL. The set of batches contributing to the estimate is
-decided from cumulative counts in batch order only.
+decided from cumulative counts in batch order only. Stages that estimate
+many masks run them on fork-started processes instead (`_estimate_jobs`).
 """
 
 import math
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .codec import CodeSpec, DecoderConfig, FrozenMask, decode_batch, encode
-from .errors import InvalidArgument, InvalidState
+from .errors import InvalidArgument, InvalidState, PolarLabError
 
 __all__ = [
     "ChannelConfig",
@@ -201,3 +202,61 @@ def estimate_fer(
             if errors >= mc.target_frame_errors:
                 break
     return FerEstimate.from_counts(errors, frames, channel.ebn0_db)
+
+
+def _attempt(estimate, spec, mask, decoder, channel, mc):
+    """estimate(...)'s result, or the PolarLabError it raised."""
+    try:
+        return estimate(spec, mask, decoder, channel, mc)
+    except PolarLabError as exc:
+        return exc
+
+
+_forked = None  # (estimate, spec, decoder, channel) in a pool process
+
+
+def _adopt(*state):
+    global _forked
+    _forked = state
+
+
+def _run_job(mask, mc):
+    estimate, spec, decoder, channel = _forked
+    return _attempt(estimate, spec, mask, decoder, channel, mc)
+
+
+def _estimate_jobs(estimate, spec, decoder, channel, jobs, workers):
+    """Yield, in job order, each (mask, mc) job's
+    estimate(spec, mask, decoder, channel, mc), or the PolarLabError it
+    raised.
+
+    With p = min(workers, len(jobs)) > 1, the jobs run one per task on p
+    fork-started processes, each estimate on workers // p threads.
+    Otherwise each runs here, lazily and as given. A job's seed alone
+    fixes its estimate, so the split changes no result. Fork passes
+    `estimate` to the children as it is (a wrapped or patched function
+    too) and starts a pool in milliseconds; the caller must run no other
+    threads. The children log nothing, so the caller reports each
+    yielded error. Any other exception propagates, and the pool is shut
+    down before the generator ends.
+    """
+    p = min(workers, len(jobs))
+    if p <= 1:
+        for mask, mc in jobs:
+            yield _attempt(estimate, spec, mask, decoder, channel, mc)
+        return
+    # imported here: at module level they would add ~17 ms to every import
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    threads = workers // p
+    pool = ProcessPoolExecutor(p, multiprocessing.get_context("fork"),
+                               initializer=_adopt,
+                               initargs=(estimate, spec, decoder, channel))
+    try:
+        futures = [pool.submit(_run_job, mask, replace(mc, workers=threads))
+                   for mask, mc in jobs]
+        for future in futures:
+            yield future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)

@@ -160,7 +160,11 @@ _DECODER_OPTS = [
 ]
 _MC_OPTS = [
     _Opt("--seed", int, 0, "global RNG seed"),
-    _Opt("--threads", int, 1, "simulation worker threads"),
+    _Opt("--threads", int, 1,
+         "Monte Carlo workers: a dataset's masks run on p = "
+         "min(threads, masks) processes of threads // p threads each; "
+         "simulate and search run each estimate on all of them as "
+         "threads"),
     _Opt("--target-errors", int, 100, "frame errors before early stop"),
     _Opt("--max-frames", int, 1_000_000, "frame budget per point"),
 ]

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, MonteCarloConfig, FerEstimate, estimate_fer
+from .channel import (ChannelConfig, MonteCarloConfig, FerEstimate,
+                      _estimate_jobs, estimate_fer)
 from .codec import CodeSpec, DecoderConfig, FrozenMask
 from .errors import InvalidArgument, InvalidState, NumericError, PolarLabError
 
@@ -161,24 +162,32 @@ def generate_dataset(
     progress=None,
 ) -> list[DatasetRecord]:
     """D shuffled variants around the frozen/info boundary, deduplicated
-    before simulation, each paired with its Monte Carlo FER."""
+    before simulation, each paired with its Monte Carlo FER.
+
+    Mask i is estimated under mc.derive(i). With mc.workers > 1 the masks
+    run on min(workers, masks) processes (see `channel._estimate_jobs`),
+    and the records are the same at any worker count. A mask whose
+    estimate fails is logged and skipped; progress(i + 1, masks) follows
+    every mask, in mask order.
+    """
     lo, hi = _window_bounds(spec, order, shuffle.range_r)
     unique: dict[bytes, FrozenMask] = {}
     for d in range(shuffle.count_d):
         rng = np.random.default_rng([shuffle.seed, d])
         mask = _shuffled_mask(spec, order, lo, hi, rng)
         unique.setdefault(mask.bits.tobytes(), mask)
+    masks = list(unique.values())
 
+    jobs = [(mask, mc.derive(i)) for i, mask in enumerate(masks)]
     records = []
-    for i, mask in enumerate(unique.values()):
-        try:
-            est = estimate_fer(spec, mask, decoder, channel, mc.derive(i))
-        except PolarLabError as exc:
-            log.warning("skipping mask %d: simulation failed (%s)", i, exc)
+    for i, est in enumerate(_estimate_jobs(estimate_fer, spec, decoder,
+                                           channel, jobs, mc.workers)):
+        if isinstance(est, PolarLabError):
+            log.warning("skipping mask %d: simulation failed (%s)", i, est)
         else:
-            records.append(DatasetRecord(mask, est))
+            records.append(DatasetRecord(masks[i], est))
         if progress is not None:
-            progress(i + 1, len(unique))
+            progress(i + 1, len(masks))
     return records
 
 
@@ -196,31 +205,39 @@ def select_shuffle_range(
     """Largest candidate r whose pilot max/min FER ratio stays <=
     PILOT_RATIO_TARGET.
 
-    Pilots run at reduced precision (30 frame errors), each on `workers`
-    threads. Falls back to the smallest candidate when every ratio
+    Pilots run at reduced precision (30 frame errors). With workers > 1
+    they all run on min(workers, pilots) processes (see
+    `channel._estimate_jobs`), and the choice is the same at any worker
+    count. Falls back to the smallest candidate when every ratio
     overshoots.
     """
     if not candidate_rs or sorted(candidate_rs) != list(candidate_rs):
         raise InvalidArgument("candidate_rs must be non-empty and ascending")
     pilot_mc = MonteCarloConfig(seed, target_frame_errors=30,
                                 max_frames=max_frames, workers=workers)
-    best = None
-    any_pilot = False
+    keys, jobs = [], []
     for r in candidate_rs:
         lo, hi = _window_bounds(spec, order, r)
-        fers = []
         for p in range(pilot_size):
             rng = np.random.default_rng([seed, r, p])
-            mask = _shuffled_mask(spec, order, lo, hi, rng)
-            mc = pilot_mc.derive(r, p)
-            try:
-                fers.append(estimate_fer(spec, mask, decoder, channel, mc).fer)
-            except PolarLabError as exc:
-                log.warning("pilot r=%d shuffle %d failed (%s)", r, p, exc)
-        if not fers:
+            keys.append((r, p))
+            jobs.append((_shuffled_mask(spec, order, lo, hi, rng),
+                         pilot_mc.derive(r, p)))
+    fers = {r: [] for r in candidate_rs}
+    # the results come first, so zip runs them out and the pool ends
+    for est, (r, p) in zip(_estimate_jobs(estimate_fer, spec, decoder,
+                                          channel, jobs, workers), keys):
+        if isinstance(est, PolarLabError):
+            log.warning("pilot r=%d shuffle %d failed (%s)", r, p, est)
+        else:
+            fers[r].append(est.fer)
+    best = None
+    any_pilot = False
+    for r, pilots in fers.items():
+        if not pilots:
             continue
         any_pilot = True
-        if min(fers) > 0 and max(fers) / min(fers) <= PILOT_RATIO_TARGET:
+        if min(pilots) > 0 and max(pilots) / min(pilots) <= PILOT_RATIO_TARGET:
             best = r
     if not any_pilot:
         raise InvalidState("every pilot simulation failed")

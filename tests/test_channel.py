@@ -3,6 +3,7 @@ Q-function, reproducibility across worker counts, and estimate bookkeeping."""
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from polarlab.channel import (BATCH_FRAMES, ChannelConfig, FerEstimate,
                               estimate_fer, transmit)
 from polarlab.codec import CodeSpec, DecoderConfig, FrozenMask
 from polarlab.construction import build_mask, ga_reliabilities
-from polarlab.errors import InvalidArgument
+from polarlab.errors import InvalidArgument, PolarLabError
 
 
 def q_function(x: float) -> float:
@@ -192,3 +193,18 @@ def test_mc_config_derive_spawns_a_child_seed():
     expected = np.random.SeedSequence([7, 2, 5]).generate_state(1)[0]
     assert child == MonteCarloConfig(int(expected), 50, 4096, workers=3)
     assert mc.derive(2, 5) == child and mc.derive(5, 2) != child
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+@pytest.mark.parametrize("cls", [PolarLabError, *_subclasses(PolarLabError)],
+                         ids=lambda cls: cls.__name__)
+def test_polarlab_errors_survive_a_pickle_round_trip(cls):
+    """A pool process sends an estimate's PolarLabError back pickled."""
+    copy = pickle.loads(pickle.dumps(cls("mask 3: no frames simulated")))
+    assert type(copy) is cls
+    assert str(copy) == "mask 3: no frames simulated"

@@ -1,7 +1,10 @@
 """GA construction tests: phi inverse consistency, recursion oracles,
 domination ordering, mask building, and shuffled dataset generation."""
 
+import concurrent.futures
 import logging
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -187,25 +190,118 @@ def test_select_shuffle_range_is_the_same_at_any_worker_count():
                                   ChannelConfig(2.5, 0.5), pilot_size=3,
                                   candidate_rs=[2, 4, 6], seed=1,
                                   max_frames=30_000, workers=workers)
-             for workers in (1, 2)]
-    assert picks[0] == picks[1]
+             for workers in (1, 2, 3)]
+    assert picks[0] == picks[1] == picks[2]
+    assert multiprocessing.active_children() == []
 
 
-def test_select_shuffle_range_pilots_run_on_the_given_workers(monkeypatch):
-    workers_seen = []
+@pytest.mark.parametrize("pilots,workers,processes,threads", [
+    (4, 1, None, 1),  # one worker: every pilot here, as given
+    (1, 3, None, 3),  # one pilot: here, on all the threads
+    (4, 2, 2, 1),
+    (4, 3, 3, 1),
+    (2, 3, 2, 1),     # workers // processes threads per estimate
+    (2, 4, 2, 2),
+])
+def test_select_shuffle_range_splits_workers_into_processes_and_threads(
+        monkeypatch, tmp_path, pilots, workers, processes, threads):
+    """min(workers, pilots) processes, each pilot on workers // processes
+    threads; one process or one pilot runs here on `workers` threads."""
+    calls = tmp_path / "calls"
+    real_estimate = construction.estimate_fer
 
     def estimate(spec, mask, decoder, channel, mc):
-        workers_seen.append(mc.workers)
+        with open(calls, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {mc.workers}\n")
         return real_estimate(spec, mask, decoder, channel,
                              MonteCarloConfig(mc.seed, 1, 64))
 
-    real_estimate = construction.estimate_fer
+    pools = []
+
+    class SpyPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
     monkeypatch.setattr(construction, "estimate_fer", estimate)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
     spec = CodeSpec(16, 8)
     select_shuffle_range(spec, ga_reliabilities(spec, 2.0),
                          DecoderConfig("sc"), ChannelConfig(2.0, 0.5),
-                         pilot_size=2, candidate_rs=[2, 3], workers=3)
-    assert workers_seen == [3] * 4
+                         pilot_size=pilots, candidate_rs=[2], workers=workers)
+    seen = [line.split() for line in calls.read_text().splitlines()]
+    assert pools == ([] if processes is None else [processes])
+    assert [int(w) for _, w in seen] == [threads] * pilots
+    in_parent = {int(pid) == os.getpid() for pid, _ in seen}
+    assert in_parent == {processes is None}
+    assert multiprocessing.active_children() == []
+
+
+def _dataset_inputs():
+    spec = CodeSpec(16, 8)
+    return (spec, ga_reliabilities(spec, 2.0), ShuffleConfig(2, 6, seed=3),
+            DecoderConfig("scl", 2), ChannelConfig(1.5, 0.5))
+
+
+def test_generate_dataset_is_the_same_at_any_worker_count():
+    runs = [generate_dataset(*_dataset_inputs(),
+                             MonteCarloConfig(4, 20, 20_000, workers))
+            for workers in (1, 2, 3)]
+    assert len(runs[0]) >= 4
+    for records in runs[1:]:
+        assert [r.fer_estimate for r in records] == \
+            [r.fer_estimate for r in runs[0]]
+        assert all(np.array_equal(a.mask.bits, b.mask.bits)
+                   for a, b in zip(records, runs[0]))
+    assert multiprocessing.active_children() == []
+
+
+def test_generate_dataset_skips_a_failed_mask_in_a_pool_process(
+        monkeypatch, caplog):
+    """The parent logs the failure once and reports progress in mask
+    order; the other masks' records are unchanged."""
+    mc = MonteCarloConfig(4, 20, 20_000, workers=2)
+    expected = generate_dataset(*_dataset_inputs(), mc)
+    failing_seed = mc.derive(2).seed
+    real_estimate = construction.estimate_fer
+
+    def estimate(spec, mask, decoder, channel, mc):
+        if mc.seed == failing_seed:
+            raise NumericError("injected failure")
+        return real_estimate(spec, mask, decoder, channel, mc)
+
+    monkeypatch.setattr(construction, "estimate_fer", estimate)
+    seen = []
+    with caplog.at_level(logging.WARNING, logger="polarlab.construction"):
+        records = generate_dataset(
+            *_dataset_inputs(), mc,
+            progress=lambda done, total: seen.append((done, total)))
+    total = len(expected)
+    assert seen == [(i + 1, total) for i in range(total)]
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "skipping mask 2: simulation failed (injected failure)"]
+    kept = expected[:2] + expected[3:]
+    assert [r.fer_estimate for r in records] == \
+        [r.fer_estimate for r in kept]
+    assert all(np.array_equal(a.mask.bits, b.mask.bits)
+               for a, b in zip(records, kept))
+
+
+def test_generate_dataset_propagates_other_errors_from_a_pool_process(
+        monkeypatch):
+    mc = MonteCarloConfig(4, 20, 20_000, workers=2)
+    failing_seed = mc.derive(1).seed
+    real_estimate = construction.estimate_fer
+
+    def estimate(spec, mask, decoder, channel, mc):
+        if mc.seed == failing_seed:
+            raise RuntimeError("not a simulation failure")
+        return real_estimate(spec, mask, decoder, channel, mc)
+
+    monkeypatch.setattr(construction, "estimate_fer", estimate)
+    with pytest.raises(RuntimeError, match="not a simulation failure"):
+        generate_dataset(*_dataset_inputs(), mc)
+    assert multiprocessing.active_children() == []
 
 
 def test_shuffle_config_validation():

@@ -144,17 +144,20 @@ DATASET_STAGE_SHA256 = {
 
 def test_dataset_stage_digests(tmp_path, monkeypatch):
     """The construct and dataset stages end to end at (32,16) SCL-4: the
-    per-mask seeds, the dedup (24 shuffles give 19 masks) and the writers.
-    Model and candidate files are not pinned: their matmuls round
-    differently on different BLAS builds."""
+    per-mask seeds, the dedup (24 shuffles give 19 masks) and the writers,
+    on 1 thread and on 2 and 4 processes. Model and candidate files are
+    not pinned: their matmuls round differently on different BLAS
+    builds."""
     monkeypatch.chdir(tmp_path)
     assert cli.main(["construct", "--n", "32", "--k", "16", "--ebn0", "3.0",
                      "--out", "mask.txt"]) == 0
-    assert cli.main(["dataset", "--n", "32", "--k", "16", "--ebn0", "3.0",
-                     "--design-ebn0", "3.0", "--range-r", "4",
-                     "--count-d", "24", "--list-size", "4",
-                     "--target-errors", "20", "--max-frames", "20000",
-                     "--seed", "3", "--out", "dataset.txt"]) == 0
-    for name, digest in DATASET_STAGE_SHA256.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
-            == digest, name
+    for threads in ("1", "2", "4"):
+        assert cli.main(["dataset", "--n", "32", "--k", "16", "--ebn0", "3.0",
+                         "--design-ebn0", "3.0", "--range-r", "4",
+                         "--count-d", "24", "--list-size", "4",
+                         "--target-errors", "20", "--max-frames", "20000",
+                         "--seed", "3", "--threads", threads,
+                         "--out", "dataset.txt"]) == 0
+        for name, digest in DATASET_STAGE_SHA256.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()) \
+                .hexdigest() == digest, (name, threads)
