@@ -34,32 +34,18 @@ ENV_THREADS = "POLARLAB_THREADS"
 # configuration resolution
 
 class _Opt:
-    def __init__(self, flag, type_, default, help_, action=None):
+    def __init__(self, flag, type_, default, help_):
         self.flag = flag
         self.dest = flag.lstrip("-").replace("-", "_")
         self.type = type_
         self.default = default
         self.help = help_
-        self.action = action
 
 
 def _add_options(parser, opts):
     for o in opts:
-        if o.action == "store_true":
-            parser.add_argument(o.flag, dest=o.dest, action="store_const",
-                                const=True, default=None, help=o.help)
-        else:
-            parser.add_argument(o.flag, dest=o.dest, type=o.type,
-                                default=None, help=o.help)
-
-
-def _parse_bool(token: str) -> bool:
-    low = token.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise InvalidArgument(f"not a boolean: {token!r}")
+        parser.add_argument(o.flag, dest=o.dest, type=o.type, default=None,
+                            help=o.help)
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -82,10 +68,9 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 
 def _convert(o, token: str, source: str):
-    conv = _parse_bool if o.action == "store_true" else o.type
     try:
-        return conv(token)
-    except (ValueError, InvalidArgument) as exc:
+        return o.type(token)
+    except ValueError as exc:
         raise InvalidArgument(f"{source}: {exc}") from exc
 
 
@@ -235,8 +220,7 @@ def cmd_train(r):
     mlp = surrogate.MlpConfig(r["depth"], r["hidden"], r["gap"])
     tc = surrogate.TrainConfig(
         epochs=r["epochs"], batch_size=r["batch_size"], learning_rate=r["lr"],
-        seed=r["seed"], dropout_p=r["dropout"], batchnorm=r["batchnorm"],
-        mixup_alpha=r["mixup"])
+        seed=r["seed"])
     params, standardizer, report = surrogate.train(records, r["split"], mlp, tc)
     chance = surrogate.constant_predictor_ioe(records)
     io_formats.save_model(r["out"], params, standardizer, {
@@ -349,9 +333,6 @@ def _build_parser():
         _Opt("--split", float, 0.8, "training fraction of the dataset"),
         _Opt("--batch-size", int, 64, "minibatch size"),
         _Opt("--lr", float, 1e-3, "Adam learning rate"),
-        _Opt("--dropout", float, 0.0, "dropout probability"),
-        _Opt("--batchnorm", None, False, "enable BatchNorm", "store_true"),
-        _Opt("--mixup", float, 0.0, "Mixup alpha (0 disables)"),
         _Opt("--seed", int, 0, "global RNG seed"),
         _Opt("--out", str, "model.txt", "output model file"),
     ], "train the surrogate FER predictor")

@@ -211,8 +211,12 @@ def select_shuffle_range(
     count. Falls back to the smallest candidate when every ratio
     overshoots.
     """
+    if pilot_size < 1:
+        raise InvalidArgument("pilot_size must be >= 1")
     if not candidate_rs or sorted(candidate_rs) != list(candidate_rs):
         raise InvalidArgument("candidate_rs must be non-empty and ascending")
+    if candidate_rs[0] < 1:
+        raise InvalidArgument("every candidate r must be >= 1")
     pilot_mc = MonteCarloConfig(seed, target_frame_errors=30,
                                 max_frames=max_frames, workers=workers)
     keys, jobs = [], []

@@ -262,9 +262,6 @@ def load_dataset(path: str) -> tuple[DatasetHeader, list[DatasetRecord]]:
 # ---------------------------------------------------------------------------
 # models
 
-_BN_KEYS = ("gamma", "beta", "mean", "var")  # MlpParams.bn_* order
-
-
 def _vector_line(name, vec) -> str:
     return f"{name} {' '.join(_fmt(v) for v in np.ravel(vec))}"
 
@@ -283,10 +280,6 @@ def _model_rows(params: MlpParams, in_stats, out_stats):
         for row in w:
             yield f"w{i}", row
         yield f"b{i}", b
-    if params.uses_batchnorm:
-        for i in range(len(params.bn_gamma)):
-            for key in _BN_KEYS:
-                yield f"bn_{key}{i}", getattr(params, f"bn_{key}")[i]
 
 
 def save_model(path: str, params: MlpParams, standardizer: Standardizer,
@@ -295,7 +288,7 @@ def save_model(path: str, params: MlpParams, standardizer: Standardizer,
     lines = [f"# {MODEL_VERSION}"]
     lines += [f"{f.name} {getattr(cfg, f.name)}"
               for f in dataclass_fields(MlpConfig)]
-    lines.append(f"batchnorm {int(params.uses_batchnorm)}")
+    lines.append("batchnorm 0")  # a format v1 row; the loader takes only 0
     lines += [f"# train.{key}: {value}"
               for key, value in (train_echo or {}).items()]
     lines.append("kept_indices "
@@ -328,13 +321,12 @@ def load_model(path: str) -> tuple[MlpParams, Standardizer]:
     config = [values(f.name, int, 1)[0] for f in dataclass_fields(MlpConfig)]
     cfg = _build(f"{path}:{at[0]}-{at[-1]}", "model config", MlpConfig,
                  *config)
-    batchnorm = values("batchnorm", int, 1)[0]
-    if batchnorm not in (0, 1):
-        raise SchemaError(f"{path}:{at[-1]}: batchnorm must be 0 or 1")
+    if values("batchnorm", int, 1) != [0]:
+        raise SchemaError(f"{path}:{at[-1]}: batchnorm must be 0 (BatchNorm "
+                          f"models are not supported)")
     kept = values("kept_indices", int)  # Standardizer checks the range
     # every value init_params draws is overwritten by a row below
-    params = init_params(cfg, len(kept), np.random.default_rng(0),
-                         bool(batchnorm))
+    params = init_params(cfg, len(kept), np.random.default_rng(0))
     in_stats, out_stats = np.empty((2, len(kept))), np.empty(2)
     for name, array in _model_rows(params, in_stats, out_stats):
         if name != "layer":

@@ -14,6 +14,7 @@ own restart; the matrix keeps its shape until the run ends.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,8 @@ class PgdConfig:
     def __post_init__(self):
         if self.iterations_i < 1:
             raise InvalidArgument("iterations_i must be >= 1")
-        if self.step_mu < 0:
-            raise InvalidArgument("step_mu must be >= 0")
+        if not (math.isfinite(self.step_mu) and self.step_mu >= 0):
+            raise InvalidArgument("step_mu must be finite and >= 0")
         if self.restarts < 1:
             raise InvalidArgument("restarts must be >= 1")
         if self.seed < 0:
@@ -89,8 +90,8 @@ def _pgd_restarts(params: MlpParams, standardizer: Standardizer,
 
     Returns, per restart, its CandidateReport or the NumericError that
     aborted it. An aborted row keeps its place in the matrix, so a live
-    row's arithmetic never depends on which rows died; evaluation mode
-    keeps the surrogate's rows independent.
+    row's arithmetic never depends on which rows died; the surrogate maps
+    each row on its own.
     """
     kept = standardizer.kept_indices
     quota = int((standardizer.signed_bits(base_mask.bits) > 0).sum())

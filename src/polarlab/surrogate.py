@@ -9,10 +9,14 @@ f^0 for the input, layer l+1 computes
     f^{l+1} = F_{l+1}(f^l)               otherwise,
 
 so a gap G >= L-1 reduces to a plain composition. All gradients are
-exact reverse-mode, including the additive skip branches.
+exact reverse-mode, including the additive skip branches. There is no
+dropout, normalization or input mixing, so training and search evaluate
+the same function: none of the three beat the plain network on held-out
+IOE (scripts/regulariser_study.py).
 """
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +39,6 @@ __all__ = [
     "constant_predictor_ioe",
 ]
 
-_BN_EPS = 1e-5
-_BN_MOMENTUM = 0.9  # running-statistics decay per training batch
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -112,28 +114,17 @@ class MlpConfig:
 
 @dataclass
 class MlpParams:
-    """Trainable tensors; BatchNorm slots stay None when the option is off."""
+    """Trainable tensors: one weight matrix and one bias vector per layer."""
 
     config: MlpConfig
     weights: list
     biases: list
-    bn_gamma: list | None = None
-    bn_beta: list | None = None
-    bn_mean: list | None = None
-    bn_var: list | None = None
-
-    @property
-    def uses_batchnorm(self) -> bool:
-        return self.bn_gamma is not None
 
     def clone(self) -> "MlpParams":
         return copy.deepcopy(self)
 
     def trainables(self):
-        tensors = list(self.weights) + list(self.biases)
-        if self.uses_batchnorm:
-            tensors += list(self.bn_gamma) + list(self.bn_beta)
-        return tensors
+        return list(self.weights) + list(self.biases)
 
 
 @dataclass(frozen=True)
@@ -142,17 +133,15 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 1e-3
     seed: int = 0
-    dropout_p: float = 0.0
-    batchnorm: bool = False
-    mixup_alpha: float = 0.0
 
     def __post_init__(self):
         if self.epochs < 1:
             raise InvalidArgument("epochs must be >= 1")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise InvalidArgument("dropout_p must be in [0, 1)")
-        if self.mixup_alpha < 0.0:
-            raise InvalidArgument("mixup_alpha must be >= 0")
+        if self.batch_size < 1:
+            raise InvalidArgument("batch_size must be >= 1")
+        if not (math.isfinite(self.learning_rate)
+                and self.learning_rate > 0):
+            raise InvalidArgument("learning_rate must be finite and > 0")
         if self.seed < 0:
             raise InvalidArgument("seed must be >= 0")
 
@@ -200,98 +189,48 @@ def _layer_dims(config: MlpConfig, input_dim: int):
 
 
 def init_params(config: MlpConfig, input_dim: int,
-                rng: np.random.Generator,
-                batchnorm: bool = False) -> MlpParams:
+                rng: np.random.Generator) -> MlpParams:
     """Per-layer uniform init in +-sqrt(6 / (fan_in + fan_out))."""
     weights, biases = [], []
     for fan_in, fan_out in _layer_dims(config, input_dim):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-bound, bound, (fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    params = MlpParams(config, weights, biases)
-    if batchnorm:
-        hidden = config.depth_l - 1
-        params.bn_gamma = [np.ones(config.hidden_h) for _ in range(hidden)]
-        params.bn_beta = [np.zeros(config.hidden_h) for _ in range(hidden)]
-        params.bn_mean = [np.zeros(config.hidden_h) for _ in range(hidden)]
-        params.bn_var = [np.ones(config.hidden_h) for _ in range(hidden)]
-    return params
+    return MlpParams(config, weights, biases)
 
 
-def _forward_cached(config, params, x, training=False, dropout_p=0.0,
-                    rng=None):
-    """Forward pass keeping every intermediate needed for backprop."""
+def _forward_cached(config, params, x):
+    """Forward pass keeping every layer's input and preactivation."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     L = config.depth_l
     if x.shape[1] != params.weights[0].shape[0]:
         raise InvalidArgument(
             f"input dim {x.shape[1]} != {params.weights[0].shape[0]}")
-    drop = training and dropout_p > 0.0
-    cache = {"zs": [], "bn": [], "drop_masks": [None] * (L + 1)}
-    acts = [x]
-    if drop:
-        acts = [x * (rng.random(x.shape) >= dropout_p) / (1.0 - dropout_p)]
+    acts, zs = [x], []
     for l in range(L):
         z = acts[l] @ params.weights[l] + params.biases[l]
-        bn_cache = None
-        if params.uses_batchnorm and l < L - 1:
-            if training:
-                mu = z.mean(axis=0)
-                var = z.var(axis=0)
-                params.bn_mean[l][:] = _BN_MOMENTUM * params.bn_mean[l] \
-                    + (1 - _BN_MOMENTUM) * mu
-                params.bn_var[l][:] = _BN_MOMENTUM * params.bn_var[l] \
-                    + (1 - _BN_MOMENTUM) * var
-            else:
-                mu, var = params.bn_mean[l], params.bn_var[l]
-            inv_std = 1.0 / np.sqrt(var + _BN_EPS)
-            z_hat = (z - mu) * inv_std
-            bn_cache = (z_hat, inv_std, training)
-            z = params.bn_gamma[l] * z_hat + params.bn_beta[l]
-        cache["zs"].append(z)
-        cache["bn"].append(bn_cache)
+        zs.append(z)
         h = np.maximum(z, 0.0) if l < L - 1 else z
         if config.has_shortcut_into(l + 1):
             h = h + acts[l + 1 - config.shortcut_g]
-        if drop and l < L - 1:
-            m = rng.random(h.shape) >= dropout_p
-            cache["drop_masks"][l + 1] = m
-            h = h * m / (1.0 - dropout_p)
         acts.append(h)
-    cache["acts"] = acts
-    return acts[L][:, 0], cache
+    return acts[L][:, 0], (acts, zs)
 
 
-def _backward_cached(config, params, cache, d_out, dropout_p=0.0):
-    """Reverse pass; returns the input grad and, per layer, the pair (grad at
-    the BatchNorm output, grad at the linear output), one array twice where
-    the layer has no BatchNorm. The input grad skips input dropout, which
-    only `train` sets."""
+def _backward_cached(config, params, cache, d_out):
+    """Reverse pass; returns the input grad and each layer's grad at its
+    preactivation."""
     L = config.depth_l
-    acts = cache["acts"]
+    acts, zs = cache
     d_acts = [np.zeros_like(a) for a in acts]
     d_acts[L] = np.asarray(d_out, dtype=np.float64).reshape(-1, 1)
     deltas = [None] * L
     for l in range(L - 1, -1, -1):
         dh = d_acts[l + 1]
-        mask = cache["drop_masks"][l + 1]
-        if mask is not None:
-            dh = dh * mask / (1.0 - dropout_p)
         if config.has_shortcut_into(l + 1):
             d_acts[l + 1 - config.shortcut_g] += dh
-        z = cache["zs"][l]
-        dy = dh if l == L - 1 else dh * (z > 0)
-        dz = dy
-        bn_cache = cache["bn"][l]
-        if bn_cache is not None:
-            z_hat, inv_std, trained = bn_cache
-            if trained:
-                dzh = dy * params.bn_gamma[l]
-                dz = inv_std * (dzh - dzh.mean(axis=0)
-                                - z_hat * (dzh * z_hat).mean(axis=0))
-            else:
-                dz = dy * params.bn_gamma[l] * inv_std
-        deltas[l] = (dy, dz)
+        dz = dh if l == L - 1 else dh * (zs[l] > 0)
+        deltas[l] = dz
         d_acts[l] += dz @ params.weights[l].T
     return d_acts[0], deltas
 
@@ -311,30 +250,18 @@ def backward(config: MlpConfig, params: MlpParams, x: np.ndarray,
     params.trainables() ordering.
     """
     target = np.atleast_1d(np.asarray(target, dtype=np.float64))
-    return _mse_step(config, params, x, target)
-
-
-def _mse_step(config, params, x, target, training=False, dropout_p=0.0,
-              rng=None):
-    """One forward/backward pass of the mean squared error against target:
-    (loss, param grads in params.trainables() order, input grad)."""
-    y, cache = _forward_cached(config, params, x, training, dropout_p, rng)
+    y, cache = _forward_cached(config, params, x)
     resid = y - target
-    d_in, deltas = _backward_cached(
-        config, params, cache, 2.0 * resid / resid.size, dropout_p)
-    grads = [a.T @ dz for a, (_, dz) in zip(cache["acts"], deltas)]
-    grads += [dz.sum(axis=0) for _, dz in deltas]
-    if params.uses_batchnorm:
-        hidden = deltas[:-1]  # BatchNorm sits on every hidden layer
-        grads += [(dy * z_hat).sum(axis=0)
-                  for (dy, _), (z_hat, _, _) in zip(hidden, cache["bn"])]
-        grads += [dy.sum(axis=0) for dy, _ in hidden]
+    d_in, deltas = _backward_cached(config, params, cache,
+                                    2.0 * resid / resid.size)
+    grads = [a.T @ dz for a, dz in zip(cache[0], deltas)]
+    grads += [dz.sum(axis=0) for dz in deltas]
     return float(np.mean(resid ** 2)), grads, d_in
 
 
 def output_and_input_gradient(config: MlpConfig, params: MlpParams,
                               x: np.ndarray):
-    """Network outputs and d(output_i)/d(x_i) per row (evaluation mode)."""
+    """Network outputs and d(output_i)/d(x_i) per row."""
     x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y, cache = _forward_cached(config, params, x2)
     d_in, _ = _backward_cached(config, params, cache, np.ones_like(y))
@@ -407,7 +334,7 @@ def train(records, split_fraction: float, config: MlpConfig,
     X = std.transform_inputs(masks[train_idx])
     y = std.transform_log_fer(np.log(fers[train_idx]))
 
-    params = init_params(config, X.shape[1], rng, batchnorm=tc.batchnorm)
+    params = init_params(config, X.shape[1], rng)
     opt = _Adam(params.trainables(), tc.learning_rate)
     best_params, best_report = None, None
 
@@ -415,14 +342,7 @@ def train(records, split_fraction: float, config: MlpConfig,
         idx = rng.permutation(X.shape[0])
         for start in range(0, idx.size, tc.batch_size):
             sel = idx[start:start + tc.batch_size]
-            xb, yb = X[sel], y[sel]
-            if tc.mixup_alpha > 0 and sel.size > 1:
-                lam = rng.beta(tc.mixup_alpha, tc.mixup_alpha, sel.size)
-                other = rng.permutation(sel.size)
-                xb = lam[:, None] * xb + (1 - lam[:, None]) * xb[other]
-                yb = lam * yb + (1 - lam) * yb[other]
-            _, grads, _ = _mse_step(config, params, xb, yb, training=True,
-                                    dropout_p=tc.dropout_p, rng=rng)
+            _, grads, _ = backward(config, params, X[sel], y[sel])
             if not all(np.all(np.isfinite(g)) for g in grads):
                 raise NumericError("non-finite gradient during training")
             opt.step(params.trainables(), grads)

@@ -207,6 +207,48 @@ def test_config_file_rejects_unknown_keys(tmp_path, mask_file):
                "--out", str(tmp_path / "x")) == 2
 
 
+def test_train_has_no_batchnorm_option(tmp_path, dataset_file, capsys):
+    out = tmp_path / "model.txt"
+    with pytest.raises(SystemExit) as exc:
+        run("train", "--dataset", dataset_file, "--batchnorm",
+            "--out", str(out))
+    assert exc.value.code == 2
+    assert "--batchnorm" in capsys.readouterr().err
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("batchnorm = 1\n")
+    assert run("train", "--dataset", dataset_file, "--config", str(cfg),
+               "--out", str(out)) == 2
+    assert "unknown keys: ['batchnorm']" in capsys.readouterr().err
+    assert not list(tmp_path.glob("model*"))
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--batch-size", "0"), ("--batch-size", "-4"), ("--lr", "-0.01"),
+])
+def test_train_rejects_bad_batch_size_and_learning_rate(
+        tmp_path, dataset_file, capsys, flag, value):
+    out = tmp_path / "model.txt"
+    assert run("train", "--dataset", dataset_file, "--epochs", "2",
+               "--hidden", "8", "--depth", "2", "--gap", "1", flag, value,
+               "--out", str(out)) == 2
+    assert "must be" in capsys.readouterr().err
+    assert not list(tmp_path.glob("model*"))
+
+
+def test_search_rejects_a_non_finite_step(tmp_path, dataset_file, capsys):
+    model = str(tmp_path / "model.txt")
+    assert run("train", "--dataset", dataset_file, "--epochs", "2",
+               "--hidden", "8", "--depth", "2", "--gap", "1",
+               "--out", model) == 0
+    out = tmp_path / "cand.txt"
+    for mu in ("nan", "inf"):
+        assert run("search", "--model", model, "--dataset", dataset_file,
+                   "--iters", "2", "--restarts", "1", "--mu", mu,
+                   "--out", str(out)) == 2
+        assert "step_mu must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("cand*"))
+
+
 def test_environment_seed_override(tmp_path, mask_file, monkeypatch):
     env = str(tmp_path / "env")
     monkeypatch.setenv("POLARLAB_SEED", "7")

@@ -304,6 +304,24 @@ def test_generate_dataset_propagates_other_errors_from_a_pool_process(
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("pilot_size,candidate_rs,message", [
+    (0, [2], "pilot_size"),
+    (1, [-1, 2], "candidate r"),
+    (1, [0], "candidate r"),
+])
+def test_select_shuffle_range_rejects_bad_pilots_before_simulating(
+        monkeypatch, pilot_size, candidate_rs, message):
+    def estimate(*args):
+        raise AssertionError("a pilot ran")
+
+    monkeypatch.setattr(construction, "estimate_fer", estimate)
+    spec = CodeSpec(16, 8)
+    with pytest.raises(InvalidArgument, match=message):
+        select_shuffle_range(spec, ga_reliabilities(spec, 2.0),
+                             DecoderConfig("sc"), ChannelConfig(2.0, 0.5),
+                             pilot_size=pilot_size, candidate_rs=candidate_rs)
+
+
 def test_shuffle_config_validation():
     with pytest.raises(InvalidArgument):
         ShuffleConfig(0, 5)

@@ -154,8 +154,10 @@ def test_pgd_raises_on_nonfinite_gradient():
 def test_pgd_config_validation():
     with pytest.raises(InvalidArgument):
         PgdConfig(iterations_i=0)
-    with pytest.raises(InvalidArgument):
-        PgdConfig(step_mu=-0.1)
+    for mu in (-0.1, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(InvalidArgument):
+            PgdConfig(step_mu=mu)
+    PgdConfig(step_mu=0.0)
     with pytest.raises(InvalidArgument):
         PgdConfig(restarts=0)
     with pytest.raises(InvalidArgument):
@@ -233,15 +235,9 @@ def _reference_pgd(params, standardizer, config, base_mask, restart_index):
     return bits, best_pred, best_iter
 
 
-def _mlp_surrogate(n, seed, batchnorm):
+def _mlp_surrogate(n, seed):
     rng = np.random.default_rng(seed)
-    params = init_params(MlpConfig(3, 16, 2), n, rng, batchnorm=batchnorm)
-    if batchnorm:
-        for l in range(2):
-            params.bn_gamma[l] = rng.uniform(0.5, 1.5, 16)
-            params.bn_beta[l] = rng.normal(0, 0.1, 16)
-            params.bn_mean[l] = rng.normal(0, 0.5, 16)
-            params.bn_var[l] = rng.uniform(0.5, 2.0, 16)
+    params = init_params(MlpConfig(3, 16, 2), n, rng)
     std = Standardizer(np.arange(n), rng.normal(0, 0.1, n),
                        rng.uniform(0.8, 1.2, n), -4.0, 1.5)
     return params, std
@@ -262,10 +258,8 @@ _PGD_CASES = {
                            restarts=5)),
     "linear-7": (lambda: _linear_case(7, 0.5),
                  PgdConfig(iterations_i=60, seed=8, restarts=6)),
-    "mlp": (lambda: _mlp_surrogate(16, 11, False),
+    "mlp": (lambda: _mlp_surrogate(16, 11),
             PgdConfig(iterations_i=200, seed=12, restarts=7)),
-    "mlp-batchnorm": (lambda: _mlp_surrogate(16, 13, True),
-                      PgdConfig(iterations_i=200, seed=14, restarts=7)),
 }
 _BASE16 = FrozenMask(np.array([1] * 8 + [0] * 8, dtype=np.uint8))
 

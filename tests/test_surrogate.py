@@ -8,7 +8,7 @@ from polarlab.channel import FerEstimate
 from polarlab.codec import FrozenMask
 from polarlab.construction import DatasetRecord
 from polarlab.errors import InvalidArgument
-from polarlab.surrogate import (MlpConfig, TrainConfig, _mse_step, backward,
+from polarlab.surrogate import (MlpConfig, TrainConfig, backward,
                                 constant_predictor_ioe, evaluate_ioe,
                                 fit_standardizer, forward, init_params,
                                 output_and_input_gradient, train)
@@ -101,28 +101,17 @@ def test_forward_shortcut_changes_output():
 # ---------------------------------------------------------------------------
 # gradients
 
-def _loss_and_grads(cfg, params, x, target, training):
-    if not training:
-        loss, grads, _ = backward(cfg, params, x, target)
-    else:  # batch-statistics BatchNorm, the step train() runs
-        loss, grads, _ = _mse_step(cfg, params, x, target, training=True)
-    return loss, grads
-
-
-def _fd_check(cfg, batchnorm, seed, rel_tol=1e-6):
-    """batchnorm: False, True (running statistics) or "train" (batch
-    statistics, as during training)."""
-    training = batchnorm == "train"
+def _fd_check(cfg, seed, rel_tol=1e-6):
     rng = np.random.default_rng(seed)
     d = int(rng.integers(3, 9))
-    params = init_params(cfg, d, rng, batchnorm=bool(batchnorm))
+    params = init_params(cfg, d, rng)
     for b in params.biases:
         # keep preactivations away from the ReLU kink, where the loss is
         # not differentiable and central differences see a half-slope
         b += rng.normal(0, 0.1, b.shape)
     x = rng.normal(0, 1, (7, d))
     target = rng.normal(0, 1, 7)
-    _, grads = _loss_and_grads(cfg, params, x, target, training)
+    _, grads, _ = backward(cfg, params, x, target)
     tensors = params.trainables()
     eps = 1e-6
     worst = 0.0
@@ -132,34 +121,26 @@ def _fd_check(cfg, batchnorm, seed, rel_tol=1e-6):
                               replace=False):
             orig = flat[idx]
             flat[idx] = orig + eps
-            hi, _ = _loss_and_grads(cfg, params, x, target, training)
+            hi, _, _ = backward(cfg, params, x, target)
             flat[idx] = orig - eps
-            lo, _ = _loss_and_grads(cfg, params, x, target, training)
+            lo, _, _ = backward(cfg, params, x, target)
             flat[idx] = orig
             fd = (hi - lo) / (2 * eps)
             gi = g.reshape(-1)[idx]
-            if training and abs(gi) < 1e-8:
-                # a bias feeding a batch-statistics BatchNorm has a zero
-                # gradient, so both sides are rounding noise (~1e-10):
-                # compare them absolutely
-                assert abs(fd - gi) < 1e-8, (fd, gi)
-            else:
-                worst = max(worst, abs(fd - gi) / max(abs(fd), abs(gi), 1e-8))
+            worst = max(worst, abs(fd - gi) / max(abs(fd), abs(gi), 1e-8))
     assert worst < rel_tol, worst
 
 
-@pytest.mark.parametrize("cfg,batchnorm", [
-    (MlpConfig(1, 5, 1), False),
-    (MlpConfig(2, 8, 1), False),
-    (MlpConfig(3, 6, 2), True),
-    (MlpConfig(6, 10, 3), False),
-    (MlpConfig(6, 10, 3), True),
-    (MlpConfig(5, 7, 2), False),
-    (MlpConfig(3, 6, 2), "train"),
-    (MlpConfig(6, 10, 3), "train"),
+# each id is the one the case had when this table also held BatchNorm
+# cases, so a case keeps its name in test histories
+@pytest.mark.parametrize("cfg", [
+    pytest.param(MlpConfig(1, 5, 1), id="cfg0-False"),
+    pytest.param(MlpConfig(2, 8, 1), id="cfg1-False"),
+    pytest.param(MlpConfig(6, 10, 3), id="cfg3-False"),
+    pytest.param(MlpConfig(5, 7, 2), id="cfg5-False"),
 ])
-def test_parameter_gradients_match_finite_differences(cfg, batchnorm):
-    _fd_check(cfg, batchnorm, seed=cfg.depth_l * 100 + cfg.hidden_h)
+def test_parameter_gradients_match_finite_differences(cfg):
+    _fd_check(cfg, seed=cfg.depth_l * 100 + cfg.hidden_h)
 
 
 def test_input_gradient_matches_finite_differences():
@@ -248,25 +229,6 @@ def test_train_is_deterministic():
     assert np.array_equal(s1.kept_indices, s2.kept_indices)
 
 
-def test_train_options_run_and_learn():
-    """Dropout, BatchNorm, and Mixup all leave the exact-gradient training
-    loop functional (loss decreases vs an untrained constant baseline)."""
-    rng = np.random.default_rng(5)
-    w = rng.normal(0, 0.4, 10)
-    recs = []
-    for _ in range(150):
-        bits = np.zeros(10, dtype=np.uint8)
-        bits[rng.permutation(10)[:5]] = 1
-        lf = min(-0.5, float(w @ bits) - 3.0)
-        recs.append(make_record(bits, float(np.exp(lf)), frames=100_000))
-    chance = constant_predictor_ioe(recs).average_ioe
-    for tc in (TrainConfig(epochs=150, seed=2, dropout_p=0.1),
-               TrainConfig(epochs=150, seed=2, batchnorm=True),
-               TrainConfig(epochs=150, seed=2, mixup_alpha=0.2)):
-        _, _, rep = train(recs, 0.8, MlpConfig(2, 32, 1), tc)
-        assert rep.average_ioe < chance
-
-
 def test_train_validates_arguments():
     rng = np.random.default_rng(6)
     recs = random_records(rng, count=10)
@@ -276,5 +238,10 @@ def test_train_validates_arguments():
         train(recs, 1.5, MlpConfig(2, 8, 1), TrainConfig(epochs=1))
     with pytest.raises(InvalidArgument):
         TrainConfig(epochs=0)
-    with pytest.raises(InvalidArgument):
-        TrainConfig(epochs=1, dropout_p=1.0)
+    for bad in ({"batch_size": 0}, {"batch_size": -4},
+                {"learning_rate": -0.01}, {"learning_rate": 0.0},
+                {"learning_rate": float("nan")},
+                {"learning_rate": float("inf")}):
+        with pytest.raises(InvalidArgument):
+            TrainConfig(epochs=1, **bad)
+    TrainConfig(epochs=1, batch_size=1, learning_rate=1e-12)
