@@ -129,8 +129,7 @@ def _parse_ebn0_list(token: str) -> list[float]:
 
 def _decoder_from(resolved) -> DecoderConfig:
     algorithm = "sc" if resolved["list_size"] == 1 else "scl"
-    return DecoderConfig(algorithm, resolved["list_size"],
-                         resolved["metric"], resolved["node"])
+    return DecoderConfig(algorithm, resolved["list_size"])
 
 
 def _mc_from(resolved) -> MonteCarloConfig:
@@ -138,11 +137,7 @@ def _mc_from(resolved) -> MonteCarloConfig:
                             resolved["max_frames"], resolved["threads"])
 
 
-_DECODER_OPTS = [
-    _Opt("--list-size", int, 4, "SCL list size (1 = plain SC)"),
-    _Opt("--metric", str, "approximate", "path metric: exact|approximate"),
-    _Opt("--node", str, "min_sum_f", "f-node rule: exact_f|min_sum_f"),
-]
+_LIST_SIZE_OPT = _Opt("--list-size", int, 4, "SCL list size (1 = plain SC)")
 _MC_OPTS = [
     _Opt("--seed", int, 0, "global RNG seed"),
     _Opt("--threads", int, 1,
@@ -247,11 +242,10 @@ def cmd_search(r):
     spec = header.spec
     order = construction.ga_reliabilities(spec, header.design_ebn0_db)
     base_mask = construction.build_mask(spec, order)
-    decoder = _decoder_from(r | {"list_size": header.list_size})
     cfg = search.PgdConfig(r["iters"], r["mu"], r["restarts"], r["seed"],
                            r["topk"])
     reports = search.search_and_validate(
-        params, standardizer, cfg, spec, decoder,
+        params, standardizer, cfg, spec, header.decoder,
         ChannelConfig(header.ebn0_db, spec.rate), _mc_from(r), base_mask)
     if not reports:
         raise NumericError("every PGD restart aborted; no candidates written")
@@ -310,7 +304,7 @@ def _build_parser():
         _Opt("--mask", str, "mask.txt", "input mask file"),
         _Opt("--ebn0", str, "0.8:6.0:0.4", "Eb/N0 sweep a:b:step or list"),
         _Opt("--out", str, "fer", "output path prefix (.csv/.svg)"),
-        *_DECODER_OPTS, *_MC_OPTS,
+        _LIST_SIZE_OPT, *_MC_OPTS,
     ], "Monte Carlo FER curve for a stored mask")
 
     register("dataset", cmd_dataset, [
@@ -321,7 +315,7 @@ def _build_parser():
         _Opt("--range-r", int, 8, "shuffle window half-width"),
         _Opt("--count-d", int, 100, "number of shuffled variants"),
         _Opt("--out", str, "dataset.txt", "output dataset file"),
-        *_DECODER_OPTS, *_MC_OPTS,
+        _LIST_SIZE_OPT, *_MC_OPTS,
     ], "generate a shuffled-mask FER dataset")
 
     register("train", cmd_train, [
@@ -345,13 +339,13 @@ def _build_parser():
     register("search", cmd_search, [
         _Opt("--model", str, "model.txt", "input model file"),
         _Opt("--dataset", str, "dataset.txt",
-             "dataset file (supplies code spec, channel, base mask)"),
+             "dataset file (supplies code spec, decoder, channel, base "
+             "mask)"),
         _Opt("--iters", int, 5000, "PGD iterations per restart"),
         _Opt("--mu", float, 0.1, "PGD step size"),
         _Opt("--restarts", int, 64, "independent restarts"),
         _Opt("--topk", int, 8, "candidates to validate by simulation"),
         _Opt("--out", str, "candidates.txt", "output candidate report"),
-        *_DECODER_OPTS[1:],  # the list size comes from the dataset
         *_MC_OPTS,
     ], "PGD mask search guided by a trained surrogate")
 

@@ -11,22 +11,23 @@ each folded partial-sum block is bound to its level as a new array. f and g
 work on sign bits: f ORs the XOR of the operands' sign bits into
 min(|a|, |b|), g flips a's sign bit where u = 1 and adds b, which gives the
 bits of copysign(min(|a|, |b|), a * b) and b + (1 - 2u) * a for any finite
-input. The approximate min-sum decoder (see DecoderConfig) keeps its levels,
-leaves, path metrics and fork candidates in float32, which halves the bytes
-every pass over a level moves, and rejects LLRs float32 cannot hold.
+input. Each is the default min-sum decoder or the exact reference (see
+DecoderConfig). The min-sum decoder keeps its levels, leaves, path metrics
+and fork candidates in float32, which halves the bytes every pass over a
+level moves, and rejects LLRs float32 cannot hold.
 min(|a|, |b|) and the sign-bit operations are exact at any width; only the
 cast of the channel LLRs, g's add and the metric sums round, so a decision
 can move only where that rounding flips a leaf's sign or the order of two
 fork candidates. SC and SCL share one g/f descent. SCL walks a schedule
 compiled once per mask: aligned nodes (first position, level, frozen), each
 one block of the tree. A leaf is the level-0 node, and the leaves-only
-schedule is the position-by-position walk that SC, exact metrics and
-exact_f keep. The approximate min-sum decoder decodes each all-frozen
-block as one Rate-0 node (metric + sum of max(0, -alpha) over the block's
-LLRs, an all-zero block folded) and each block frozen but for its last
-position as one REP node (one fork between metric + sum of max(0, -alpha)
-and metric + sum of max(0, alpha), an all-u block folded), after Sarkis et
-al. (Fast-SSC) and Hashemi, Condo & Gross (Fast-SSCL). For min-sum f,
+schedule is the position-by-position walk that SC and the exact reference
+keep. The min-sum SCL decoder decodes each all-frozen block as one Rate-0
+node (metric + sum of max(0, -alpha) over the block's LLRs, an all-zero
+block folded) and each block frozen but for its last position as one REP
+node (one fork between metric + sum of max(0, -alpha) and metric + sum of
+max(0, alpha), an all-u block folded), after Sarkis et al. (Fast-SSC) and
+Hashemi, Condo & Gross (Fast-SSCL). For min-sum f,
 max(0, -f(a, b)) + max(0, -(a + b)) = max(0, -a) + max(0, -b) and
 max(0, -f(a, b)) + max(0, a + b) = max(0, a) + max(0, b), so these are the
 leaf walk's fork candidates up to the rounding order of the float32 sums.
@@ -122,38 +123,28 @@ class FrozenMask:
 
 @dataclass(frozen=True)
 class DecoderConfig:
-    """Decoder selection: SC, or SCL with a given list size.
+    """Decoder selection: SC, or SCL with a given list size, as the default
+    min-sum decoder or, with exact=True, the exact reference.
 
-    metric_mode 'approximate' adds |llr| on sign contradictions; 'exact'
-    adds ln(1 + exp(-(1-2u) llr)). node_mode 'min_sum_f' is the usual
-    hardware f; 'exact_f' is the boxplus rule (needed for ML equivalence).
-
-    The width (dtype) follows from the modes. With 'approximate' and
-    'min_sum_f', the default and also SC with 'min_sum_f', every LLR, metric
-    and fork candidate is float32: min-sum f and the metric's max(0, -llr)
-    are exact at any width, so only the channel cast, g's add and the metric
-    sums round, and LLRs may be at most float32's largest finite value in
-    magnitude. 'exact' metrics and 'exact_f' stay float64: they round in
-    every logaddexp, and full-list SCL's ML equivalence and the genie-aided
-    statistics are checked with them.
-
-    The float32 SCL decoders are also the ones that decode Rate-0 and REP
-    nodes (see the module docstring): their node metrics equal the leaf
-    walk's only for min-sum f and the max(0, -llr) metric. SC, 'exact'
-    metrics and 'exact_f' decode leaf by leaf.
+    The min-sum decoder uses the hardware f and adds max(0, -(1-2u) llr) to
+    a path's metric. Both are exact at any width, so it runs in float32:
+    only the channel cast, g's add and the metric sums round, and LLRs may
+    be at most float32's largest finite value in magnitude. Its SCL walks
+    Rate-0 and REP nodes (see the module docstring), whose metrics equal
+    the leaf walk's only for this f and metric. The exact reference uses
+    the boxplus f and adds ln(1 + exp(-(1-2u) llr)), in float64 and leaf by
+    leaf; full-list SCL's ML equivalence and the genie-aided statistics are
+    checked with it.
     """
 
     algorithm: str = "scl"
     list_size: int = 1
-    metric_mode: str = "approximate"
-    node_mode: str = "min_sum_f"
+    exact: bool = False
 
     @property
     def dtype(self):
         """The width the decoder runs at (see the class docstring)."""
-        if self.metric_mode == "approximate" and self.node_mode == "min_sum_f":
-            return np.float32
-        return np.float64
+        return np.float64 if self.exact else np.float32
 
     def __post_init__(self):
         if self.algorithm not in ("sc", "scl"):
@@ -162,10 +153,8 @@ class DecoderConfig:
             raise InvalidArgument("list_size must be >= 1")
         if self.algorithm == "sc" and self.list_size != 1:
             raise InvalidArgument("algorithm 'sc' needs list_size 1")
-        if self.metric_mode not in ("exact", "approximate"):
-            raise InvalidArgument(f"unknown metric_mode {self.metric_mode!r}")
-        if self.node_mode not in ("exact_f", "min_sum_f"):
-            raise InvalidArgument(f"unknown node_mode {self.node_mode!r}")
+        if not isinstance(self.exact, bool):
+            raise InvalidArgument(f"exact must be a bool, got {self.exact!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +222,6 @@ def _g(a, b, u):
     return np.add(s.view(a.dtype), b, out=s.view(a.dtype))
 
 
-_F_FUNCS = {"min_sum_f": _f_min_sum, "exact_f": _f_exact}
-
-
 def _checked_llrs(spec: CodeSpec, llrs: np.ndarray, dtype) -> np.ndarray:
     """The LLRs as tree level n, a C-contiguous (N, B) array of dtype, after
     checking in float64 that they have shape (B, N) and that dtype holds
@@ -260,10 +246,12 @@ def sc_decode_batch(
     spec: CodeSpec,
     mask: FrozenMask,
     llrs: np.ndarray,
-    node_mode: str = "min_sum_f",
+    *,
+    exact: bool = False,
     genie_zero: bool = False,
 ) -> np.ndarray:
     """SC-decode a (B, N) batch of LLR frames; returns (B, K) payload bits.
+    exact selects the boxplus f at float64 over min-sum f at float32.
 
     With genie_zero=True the transmitted word is assumed all-zero, every
     decision is forced to 0 after recording whether the raw decision would
@@ -272,9 +260,9 @@ def sc_decode_batch(
     """
     mask.validate_for(spec)
     channel = _checked_llrs(spec, llrs,
-                            DecoderConfig("sc", node_mode=node_mode).dtype)
+                            DecoderConfig("sc", exact=exact).dtype)
     N, B = channel.shape
-    f_func = _F_FUNCS[node_mode]
+    f_func = _f_exact if exact else _f_min_sum
     n = spec.stages
     # per-level active blocks, (2**l, B) at level l; level n is the channel
     llr_lvl = [None] * n + [channel]
@@ -368,12 +356,12 @@ def scl_decode_batch(
     Path pruning keeps the list_size smallest metrics with stable order
     (metric ascending, then fork index ascending), so results are fully
     deterministic; `_select` finds them by one sort of exact integer keys.
-    The approximate min-sum decoder walks the mask's Rate-0 and REP nodes,
-    the others its leaves (see DecoderConfig).
+    The min-sum decoder walks the mask's Rate-0 and REP nodes, the exact
+    reference its leaves (see DecoderConfig).
     """
     mask.validate_for(spec)
     channel = _checked_llrs(spec, llrs, config.dtype)
-    schedule = _compile(mask.bits.tobytes(), config.dtype == np.float32)
+    schedule = _compile(mask.bits.tobytes(), not config.exact)
     return _scl_walk(channel, spec.k_info, config, schedule)
 
 
@@ -381,8 +369,8 @@ def _scl_walk(channel, k_info, config, schedule):
     """SCL over the (N, B) channel level, node by node of the schedule."""
     N, B = channel.shape
     P = config.list_size
-    f_func = _F_FUNCS[config.node_mode]
-    penalty = np.logaddexp if config.metric_mode == "exact" else np.maximum
+    f_func = _f_exact if config.exact else _f_min_sum
+    penalty = np.logaddexp if config.exact else np.maximum
     n = N.bit_length() - 1
 
     # per-level path state as in SC plus a path axis: llr_lvl[l] and sums[l]
@@ -497,5 +485,5 @@ def decode_batch(spec: CodeSpec, mask: FrozenMask, config: DecoderConfig,
                  llrs: np.ndarray) -> np.ndarray:
     """Dispatch a batch to SC or SCL according to the decoder config."""
     if config.algorithm == "sc":
-        return sc_decode_batch(spec, mask, llrs, config.node_mode)
+        return sc_decode_batch(spec, mask, llrs, exact=config.exact)
     return scl_decode_batch(spec, mask, config, llrs)

@@ -7,6 +7,7 @@ its file atomically, so an interrupted save leaves the previous file.
 Loaders validate and reject rather than repair.
 """
 
+import math
 import os
 import secrets
 from dataclasses import dataclass, fields as dataclass_fields
@@ -213,6 +214,11 @@ class DatasetHeader:
     def spec(self) -> CodeSpec:
         return CodeSpec(self.n, self.k)
 
+    @property
+    def decoder(self) -> DecoderConfig:
+        """The decoder that labelled the dataset's records."""
+        return DecoderConfig(self.algorithm, self.list_size)
+
 
 def save_dataset(path: str, header: DatasetHeader,
                  records: list[DatasetRecord]) -> None:
@@ -243,7 +249,7 @@ def load_dataset(path: str) -> tuple[DatasetHeader, list[DatasetRecord]]:
     for key in phi_keys:
         _field(fields, key, float, path)
     spec = _spec_from(fields, path)
-    _build(path, "decoder", DecoderConfig, header.algorithm, header.list_size)
+    _build(path, "decoder", lambda: header.decoder)
     for key in ("ebn0_db", "design_ebn0_db"):
         _build(f"{path}:{fields[key][1]}", "channel", ChannelConfig,
                getattr(header, key), spec.rate)
@@ -316,7 +322,11 @@ def load_model(path: str) -> tuple[MlpParams, Standardizer]:
         if size is not None and len(tokens) != size:
             raise SchemaError(f"{path}:{lineno}: {name!r} has {len(tokens)} "
                               f"values, expected {size}")
-        return [_parse(type_, t, path, lineno) for t in tokens]
+        parsed = [_parse(type_, t, path, lineno) for t in tokens]
+        if type_ is float and not all(map(math.isfinite, parsed)):
+            raise SchemaError(
+                f"{path}:{lineno}: {name!r} values must be finite")
+        return parsed
 
     config = [values(f.name, int, 1)[0] for f in dataclass_fields(MlpConfig)]
     cfg = _build(f"{path}:{at[0]}-{at[-1]}", "model config", MlpConfig,
@@ -390,8 +400,14 @@ def load_fer_curve(path: str) -> list[tuple[float, float]]:
         cols = row.split(",")
         if len(cols) != 4:
             raise SchemaError(f"{path}:{lineno}: expected 4 columns")
-        points.append((_parse(float, cols[0], path, lineno),
-                       _parse(float, cols[1], path, lineno)))
+        ebn0, fer = (_parse(float, c, path, lineno) for c in cols[:2])
+        if not math.isfinite(ebn0):
+            raise SchemaError(f"{path}:{lineno}: Eb/N0 must be finite, "
+                              f"got {cols[0]!r}")
+        if not 0 <= fer <= 1:  # false for NaN too
+            raise SchemaError(f"{path}:{lineno}: FER must be in [0, 1], "
+                              f"got {cols[1]!r}")
+        points.append((ebn0, fer))
     return points
 
 
@@ -407,6 +423,10 @@ def render_fer_svg(curves: dict[str, list[tuple[float, float]]]) -> str:
 
     Zero-FER points cannot be drawn on a log axis and are skipped.
     """
+    # imported here: saxutils imports urllib.request, http.client and email
+    # (~2.4 MB), which every process that imports polarlab would carry
+    from xml.sax.saxutils import escape
+
     plotted = {label: [(x, y) for x, y in pts if y > 0]
                for label, pts in curves.items()}
     all_pts = [p for pts in plotted.values() for p in pts]
@@ -466,6 +486,7 @@ def render_fer_svg(curves: dict[str, list[tuple[float, float]]]) -> str:
                          f'fill="{color}"/>')
         parts.append(f'<text x="{_MARGIN_L + plot_w - 8}" '
                      f'y="{_MARGIN_T + 16 + 16 * ci}" font-size="12" '
-                     f'text-anchor="end" fill="{color}">{label}</text>')
+                     f'text-anchor="end" fill="{color}">{escape(label)}'
+                     f'</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -67,6 +67,10 @@ class Standardizer:
         if np.any(kept[:1] < 0) or np.any(np.diff(kept) <= 0):
             raise InvalidArgument(
                 "kept_indices must be non-negative and strictly increasing")
+        stats = [self.in_mean, self.in_std, self.out_mean, self.out_std]
+        if not all(np.all(np.isfinite(x)) for x in stats):
+            raise InvalidArgument("standardizer means and scales must be "
+                                  "finite")
         if np.any(self.in_std <= 0) or self.out_std <= 0:
             raise InvalidArgument("standardizer scales must be positive")
 

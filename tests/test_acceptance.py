@@ -63,7 +63,7 @@ def test_criterion_2_scl1_equals_sc():
 def test_criterion_3_full_list_scl_is_ml():
     start = time.monotonic()
     spec, mask = _ga_mask(8, 4, 1.0)
-    cfg = DecoderConfig("scl", 16, "exact", "exact_f")
+    cfg = DecoderConfig("scl", 16, exact=True)
     payloads = np.array([[b >> i & 1 for i in range(3, -1, -1)]
                          for b in range(16)], dtype=np.uint8)
     signs = 1.0 - 2.0 * encode(spec, mask, payloads)
@@ -91,7 +91,7 @@ def test_criterion_4_ga_fidelity():
     for b in range(frames // chunk):
         rng = _batch_rng(4, b)
         llrs = transmit(np.zeros((chunk, 64), dtype=np.uint8), ch, rng)
-        counts += sc_decode_batch(spec, mask, llrs, "exact_f",
+        counts += sc_decode_batch(spec, mask, llrs, exact=True,
                                   genie_zero=True).sum(axis=0)
     err_rates = counts / frames
     rho = spearmanr(order.reliabilities, -err_rates).statistic

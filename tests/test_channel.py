@@ -158,6 +158,20 @@ def test_max_frames_caps_the_run():
     assert est.frames == 3000
 
 
+def test_ebn0_past_the_decoder_width():
+    # at rate 1/2 a noiseless symbol's LLR passes float32's largest finite
+    # value above about 382 dB, and float64's only above about 3080 dB
+    spec = CodeSpec(16, 8)
+    mask = FrozenMask(np.array([1] * 8 + [0] * 8, dtype=np.uint8))
+    ch = ChannelConfig(400.0, 0.5)
+    mc = MonteCarloConfig(3, 5, 2000)
+    with pytest.raises(InvalidArgument, match="Eb/N0 400.0 dB .* float32"):
+        estimate_fer(spec, mask, DecoderConfig("scl", 2), ch, mc)
+    est = estimate_fer(spec, mask, DecoderConfig("scl", 2, exact=True), ch,
+                       mc)
+    assert (est.fer, est.frames) == (0.0, 2000)
+
+
 def test_fer_estimate_bookkeeping():
     est = FerEstimate.from_counts(25, 10_000, 3.0)
     assert est.fer == 25 / 10_000

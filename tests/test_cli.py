@@ -6,9 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from polarlab import io_formats
+from polarlab import io_formats, search
 from polarlab.cli import main
-from polarlab.codec import CodeSpec
+from polarlab.codec import CodeSpec, DecoderConfig
 from polarlab.construction import build_mask, ga_reliabilities
 
 
@@ -309,7 +309,7 @@ def test_manifest_echoes_resolved_config(tmp_path, mask_file):
     manifest = (tmp_path / "m.manifest").read_text()
     assert "seed: 5" in manifest
     assert "list_size: 2" in manifest
-    assert "metric: approximate" in manifest  # defaults are echoed too
+    assert "threads: 1" in manifest  # defaults are echoed too
 
 
 def test_dataset_with_every_mask_skipped_writes_nothing(tmp_path,
@@ -372,11 +372,51 @@ def test_ebn0_past_the_decoder_width_is_a_usage_error(tmp_path, mask_file,
     err = capsys.readouterr().err
     assert "Eb/N0 400.0 dB" in err and "float32 decoder" in err
     assert not list(tmp_path.glob("fer*"))
-    assert run("simulate", "--mask", mask_file, "--ebn0", "0,400",
-               "--node", "exact_f", "--list-size", "2", "--target-errors",
-               "5", "--max-frames", "2000", "--out", str(out)) == 0
-    rows = (tmp_path / "fer.csv").read_text().splitlines()[1:]
-    assert [r.split(",")[:2] for r in rows][1] == ["400", "0"]
+
+
+def test_decoder_mode_options_are_gone(tmp_path, mask_file, capsys):
+    # the CLI builds every decoder from its list size alone
+    out = str(tmp_path / "fer")
+    with pytest.raises(SystemExit) as exc:
+        run("simulate", "--mask", mask_file, "--metric", "exact",
+            "--out", out)
+    assert exc.value.code == 2
+    assert "--metric" in capsys.readouterr().err
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("node = exact_f\n")
+    assert run("simulate", "--mask", mask_file, "--config", str(cfg),
+               "--out", out) == 2
+    assert "unknown keys: ['node']" in capsys.readouterr().err
+    assert not list(tmp_path.glob("fer*"))
+
+
+@pytest.mark.parametrize("list_size", ["2", "1"])
+def test_search_validates_with_the_datasets_decoder(tmp_path, dataset_file,
+                                                    monkeypatch, list_size):
+    # an SCL-1 dataset is validated with SCL-1, not with the SC that the
+    # CLI would build for list size 1
+    model = str(tmp_path / "model.txt")
+    assert run("train", "--dataset", dataset_file, "--epochs", "2",
+               "--hidden", "8", "--depth", "2", "--gap", "1",
+               "--out", model) == 0
+    dataset = tmp_path / "scl.txt"
+    dataset.write_text((tmp_path / "ds.txt").read_text().replace(
+        "# list_size: 2", f"# list_size: {list_size}"))
+    header, _ = io_formats.load_dataset(str(dataset))
+    decoders = []
+    estimate_fer = search.estimate_fer
+
+    def spy(spec, mask, decoder, *args):
+        decoders.append(decoder)
+        return estimate_fer(spec, mask, decoder, *args)
+
+    monkeypatch.setattr(search, "estimate_fer", spy)
+    assert run("search", "--model", model, "--dataset", str(dataset),
+               "--iters", "5", "--restarts", "2", "--topk", "2",
+               "--target-errors", "5", "--max-frames", "2000",
+               "--out", str(tmp_path / "cand.txt")) == 0
+    assert decoders == [DecoderConfig("scl", int(list_size))] * 2
+    assert decoders[0] == DecoderConfig(header.algorithm, header.list_size)
 
 
 def test_model_inputs_past_the_dataset_n_are_a_usage_error(

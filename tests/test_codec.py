@@ -18,6 +18,10 @@ from polarlab.codec import (_KEY_SORT_MIN_WIDTH, CodeSpec, DecoderConfig,
 from polarlab.construction import build_mask, ga_reliabilities
 from polarlab.errors import InvalidArgument
 
+# test ids of the two decoders: SCL's metric and f, and SC's f alone
+SCL_IDS = {False: "approximate-min_sum_f", True: "exact-exact_f"}.get
+SC_IDS = {False: "min_sum_f", True: "exact_f"}.get
+
 
 def kron_matrix(n: int) -> np.ndarray:
     """Independent oracle: explicit F^{(x)log2 n} over GF(2)."""
@@ -60,10 +64,17 @@ def test_codespec_validation():
     assert CodeSpec(1, 1).rate == 1.0  # uncoded bypass
     assert CodeSpec(256, 128).stages == 8
     with pytest.raises(InvalidArgument):  # SC has no list
-        DecoderConfig("sc", 4, "exact")
+        DecoderConfig("sc", 4)
     with pytest.raises(InvalidArgument):
         DecoderConfig("scl", 0)
     assert DecoderConfig("sc").list_size == 1
+
+
+@pytest.mark.parametrize("exact", ["approximate", "exact", 1, 0, None])
+def test_decoder_exact_must_be_a_bool(exact):
+    # a leftover mode string in the third place must not select a decoder
+    with pytest.raises(InvalidArgument, match="exact must be a bool"):
+        DecoderConfig("scl", 4, exact)
 
 
 def test_encode_n2_exhaustive():
@@ -172,8 +183,8 @@ def test_sc_hand_trace_n2():
     assert np.array_equal(out, [[1]])
 
 
-@pytest.mark.parametrize("node_mode", ["min_sum_f", "exact_f"])
-def test_sc_noiseless_roundtrip(node_mode):
+@pytest.mark.parametrize("exact", [False, True], ids=SC_IDS)
+def test_sc_noiseless_roundtrip(exact):
     spec = CodeSpec(32, 16)
     rng = np.random.default_rng(3)
     bits = np.zeros(32, dtype=np.uint8)
@@ -181,22 +192,21 @@ def test_sc_noiseless_roundtrip(node_mode):
     mask = FrozenMask(bits)
     payload = (rng.random((50, 16)) < 0.5).astype(np.uint8)
     llrs = 10.0 * (1.0 - 2.0 * encode(spec, mask, payload))
-    out = sc_decode_batch(spec, mask, llrs, node_mode)
+    out = sc_decode_batch(spec, mask, llrs, exact=exact)
     assert np.array_equal(out, payload)
 
 
-@pytest.mark.parametrize("node_mode", ["min_sum_f", "exact_f"])
-@pytest.mark.parametrize("metric_mode", ["approximate", "exact"])
-def test_scl1_equals_sc(node_mode, metric_mode):
+@pytest.mark.parametrize("exact", [False, True], ids=SCL_IDS)
+def test_scl1_equals_sc(exact):
     spec = CodeSpec(64, 32)
     rng = np.random.default_rng(11)
     bits = np.zeros(64, dtype=np.uint8)
     bits[rng.permutation(64)[:32]] = 1
     mask = FrozenMask(bits)
     llrs = rng.normal(0, 2, (200, 64))
-    cfg = DecoderConfig("scl", 1, metric_mode, node_mode)
+    cfg = DecoderConfig("scl", 1, exact)
     assert np.array_equal(scl_decode_batch(spec, mask, cfg, llrs),
-                          sc_decode_batch(spec, mask, llrs, node_mode))
+                          sc_decode_batch(spec, mask, llrs, exact=exact))
 
 
 @pytest.mark.parametrize("n,k,list_size,mask_seed", [
@@ -210,7 +220,7 @@ def test_scl1_equals_sc(node_mode, metric_mode):
     (8, 3, 32, 5),
 ], ids=lambda v: "fixed" if v is None else str(v))
 def test_scl_full_list_exact_metric_is_ml(n, k, list_size, mask_seed):
-    """With list size >= 2^K and exact metrics/nodes SCL enumerates every
+    """With list size >= 2^K the exact reference SCL enumerates every
     codeword, so it must agree with brute-force ML."""
     spec = CodeSpec(n, k)
     if mask_seed is None:
@@ -219,7 +229,7 @@ def test_scl_full_list_exact_metric_is_ml(n, k, list_size, mask_seed):
         bits = np.ones(n, dtype=np.uint8)
         bits[np.random.default_rng(mask_seed).permutation(n)[:k]] = 0
         mask = FrozenMask(bits)
-    cfg = DecoderConfig("scl", list_size, "exact", "exact_f")
+    cfg = DecoderConfig("scl", list_size, exact=True)
     payloads = np.array(list(itertools.product([0, 1], repeat=k)),
                         dtype=np.uint8)
     books = encode(spec, mask, payloads)  # (2^K, N)
@@ -256,9 +266,9 @@ def test_decode_batch_dispatch():
     mask = FrozenMask([1, 1, 1, 0, 1, 0, 0, 0])
     rng = np.random.default_rng(2)
     llrs = rng.normal(1, 1, (10, 8))
-    sc_cfg = DecoderConfig("sc", node_mode="exact_f")
+    sc_cfg = DecoderConfig("sc", exact=True)
     assert np.array_equal(decode_batch(spec, mask, sc_cfg, llrs),
-                          sc_decode_batch(spec, mask, llrs, "exact_f"))
+                          sc_decode_batch(spec, mask, llrs, exact=True))
     scl_cfg = DecoderConfig("scl", 4)
     assert np.array_equal(decode_batch(spec, mask, scl_cfg, llrs),
                           scl_decode_batch(spec, mask, scl_cfg, llrs))
@@ -278,8 +288,8 @@ def test_decoders_reject_nonfinite_llrs():
 
 
 def test_decoder_width_and_its_llr_range():
-    # the approximate min-sum decoders run in float32 and reject finite
-    # LLRs float32 cannot hold; the others run in float64 and decode them
+    # the min-sum decoders run in float32 and reject finite LLRs float32
+    # cannot hold; the exact references run in float64 and decode them
     spec = CodeSpec(8, 4)
     mask = FrozenMask([1, 1, 1, 0, 1, 0, 0, 0])
     payload = np.array([[1, 0, 1, 1], [0, 1, 1, 0]], dtype=np.uint8)
@@ -287,10 +297,9 @@ def test_decoder_width_and_its_llr_range():
     limit = float(np.finfo(np.float32).max)
     float32 = [DecoderConfig("sc"), DecoderConfig("scl", 1),
                DecoderConfig("scl", 4)]
-    float64 = [DecoderConfig("sc", node_mode="exact_f"),
-               DecoderConfig("scl", 4, "approximate", "exact_f"),
-               DecoderConfig("scl", 4, "exact", "min_sum_f"),
-               DecoderConfig("scl", 4, "exact", "exact_f")]
+    float64 = [DecoderConfig("sc", exact=True),
+               DecoderConfig("scl", 1, exact=True),
+               DecoderConfig("scl", 4, exact=True)]
     for cfg in float32:
         assert cfg.dtype == np.float32
         with np.errstate(over="ignore", invalid="ignore"):  # g overflows
@@ -506,10 +515,9 @@ def test_only_approximate_min_sum_scl_decodes_nodes(monkeypatch):
 
     monkeypatch.setattr(codec, "_descend", spy)
     leaves = [(i, 0) for i in range(64)]
-    for cfg in (DecoderConfig("sc"), DecoderConfig("sc", node_mode="exact_f"),
-                DecoderConfig("scl", 4, "exact", "min_sum_f"),
-                DecoderConfig("scl", 4, "approximate", "exact_f"),
-                DecoderConfig("scl", 4, "exact", "exact_f")):
+    for cfg in (DecoderConfig("sc"), DecoderConfig("sc", exact=True),
+                DecoderConfig("scl", 1, exact=True),
+                DecoderConfig("scl", 4, exact=True)):
         visits.clear()
         decode_batch(spec, mask, cfg, llrs)
         assert visits == leaves, cfg
@@ -589,13 +597,13 @@ def last_fork_code(P):
     return CodeSpec(16, k), FrozenMask(bits)
 
 
-def assert_last_fork_keeps_ml(P, metric_mode, node_mode):
+def assert_last_fork_keeps_ml(P, exact):
     """The last fork of last_fork_code(P) keeps the P best of all 2P
     codewords, so both decoders are ML (min-sum on exact sums). The frozen
     bits before it re-rank the P prefixes, so the winner's candidate index
     at that fork, 2 * parent + bit, can be anything up to 2P - 1."""
     spec, mask = last_fork_code(P)
-    cfg = DecoderConfig("scl", P, metric_mode, node_mode)
+    cfg = DecoderConfig("scl", P, exact)
     payloads = np.array(list(itertools.product([0, 1], repeat=spec.k_info)),
                         dtype=np.uint8)
     signs = 1.0 - 2.0 * encode(spec, mask, payloads)
@@ -609,38 +617,32 @@ def assert_last_fork_keeps_ml(P, metric_mode, node_mode):
     assert np.array_equal(scl_decode_batch(spec, mask, cfg, llrs), ml)
 
 
-@pytest.mark.parametrize("metric_mode,node_mode", [
-    ("exact", "exact_f"), ("approximate", "min_sum_f")])
-def test_backtrack_past_255_paths(metric_mode, node_mode):
+@pytest.mark.parametrize("exact", [True, False], ids=SCL_IDS)
+def test_backtrack_past_255_paths(exact):
     # list size 512 keeps candidate indices up to 1023 in uint16; the node
     # walk takes the last fork in a REP node after a Rate-0 node
     mask = last_fork_code(512)[1]
     assert _compile(mask.bits.tobytes(), True)[-2:] == ((10, 1, True),
                                                         (12, 2, False))
-    assert_last_fork_keeps_ml(512, metric_mode, node_mode)
+    assert_last_fork_keeps_ml(512, exact)
 
 
 @pytest.mark.parametrize("P", [128, 256])
-@pytest.mark.parametrize("metric_mode,node_mode", [
-    ("exact", "exact_f"), ("approximate", "min_sum_f")])
-def test_fork_history_width_edges(P, metric_mode, node_mode):
+@pytest.mark.parametrize("exact", [True, False], ids=SCL_IDS)
+def test_fork_history_width_edges(P, exact):
     # candidate indices reach 2P - 1: 255 still fits uint8 at list size
     # 128, and 511 needs uint16 at list size 256
-    assert_last_fork_keeps_ml(P, metric_mode, node_mode)
+    assert_last_fork_keeps_ml(P, exact)
 
 
 # ---------------------------------------------------------------------------
 # batch composition: a frame decodes the same in any batch
 
 
-COMPOSITION_CONFIGS = [DecoderConfig("sc"),
-                       DecoderConfig("sc", node_mode="exact_f")] + [
-    DecoderConfig("scl", P, metric_mode, node_mode)
-    for P in (1, 2, 4, 8, 16, 32)
-    for metric_mode, node_mode in (("approximate", "min_sum_f"),
-                                   ("exact", "min_sum_f"),
-                                   ("approximate", "exact_f"),
-                                   ("exact", "exact_f"))]
+COMPOSITION_CONFIGS = [
+    DecoderConfig(*decoder, exact)
+    for decoder in [("sc", 1)] + [("scl", P) for P in (1, 2, 4, 8, 16, 32)]
+    for exact in (False, True)]
 
 
 def noisy_llrs(rng, spec, mask, B):

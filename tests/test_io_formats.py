@@ -4,6 +4,7 @@ malformed files."""
 import hashlib
 import os
 import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -266,6 +267,34 @@ def test_model_rejects_out_of_range_kept_indices(tmp_path, kept):
         iof.load_model(str(path))
 
 
+@pytest.mark.parametrize("row,value", [
+    ("in_mean", "nan"), ("out_std", "nan"), ("w0", "inf"), ("b1", "-inf")])
+def test_model_rejects_non_finite_values_at_their_line(tmp_path, row, value):
+    params = init_params(MlpConfig(2, 3, 1), 2, np.random.default_rng(7))
+    std = Standardizer(np.array([0, 1]), np.zeros(2), np.ones(2), 0.0, 1.0)
+    path = tmp_path / "model.txt"
+    iof.save_model(str(path), params, std)
+    lines = path.read_text().splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.split()[0] == row)
+    name, first, *rest = lines[at].split()
+    lines[at] = " ".join([name, value, *rest])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError, match=rf"model\.txt:{at + 1}: '{row}' "
+                                          r"values must be finite"):
+        iof.load_model(str(path))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("in_mean", np.array([0.0, np.nan])), ("in_std", np.array([1.0, np.inf])),
+    ("out_mean", np.inf), ("out_std", np.nan)],
+    ids=["in_mean", "in_std", "out_mean", "out_std"])
+def test_standardizer_rejects_non_finite_statistics(field, value):
+    stats = dict(in_mean=np.zeros(2), in_std=np.ones(2), out_mean=0.0,
+                 out_std=1.0)
+    with pytest.raises(InvalidArgument, match="must be finite"):
+        Standardizer(np.array([0, 1]), **(stats | {field: value}))
+
+
 def _corruptions(lines):
     """Every single-line corruption of a model file's rows: a row dropped,
     duplicated or swapped with the next; one token added or removed; the
@@ -364,6 +393,18 @@ def test_fer_curve_load_round_trip_and_rejects_bad_rows(tmp_path):
         bad.write_text("\n".join(lines[:3] + [bad_row]) + "\n")
         with pytest.raises(SchemaError, match=r"bad\.csv:4"):
             iof.load_fer_curve(str(bad))
+    # a non-finite Eb/N0, and a FER outside [0, 1] or NaN
+    for bad_row, what in (("inf,0.5,0.1,100", "Eb/N0"),
+                          ("nan,0.5,0.1,100", "Eb/N0"),
+                          ("1.0,inf,0.1,100", "FER"),
+                          ("1.0,1e400,0.1,100", "FER"),
+                          ("1.0,1.5,0.1,100", "FER"),
+                          ("1.0,-1e-3,0.1,100", "FER"),
+                          ("1.0,nan,0.1,100", "FER")):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines[:3] + [bad_row]) + "\n")
+        with pytest.raises(SchemaError, match=rf"bad\.csv:4: {what}"):
+            iof.load_fer_curve(str(bad))
     (tmp_path / "other.csv").write_text("x,y\n1,2\n")
     with pytest.raises(SchemaError, match="not a polarlab FER CSV"):
         iof.load_fer_curve(str(tmp_path / "other.csv"))
@@ -397,6 +438,15 @@ def test_multi_curve_svg_has_one_polyline_per_curve():
     svg = iof.render_fer_svg(curves)
     assert svg.count("<polyline") == 2
     assert "a</text>" in svg and "b</text>" in svg
+
+
+def test_svg_labels_are_escaped():
+    labels = ["x<y=a&b.csv", "a&b.csv", "</text><b>", '"q" > \'p\'']
+    svg = iof.render_fer_svg({label: [(1.0, 1e-2), (2.0, 1e-3)]
+                              for label in labels})
+    root = ET.fromstring(svg)  # raises on a malformed document
+    texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[-len(labels):] == labels
 
 
 # ---------------------------------------------------------------------------

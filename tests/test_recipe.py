@@ -76,6 +76,25 @@ def test_skip_existing_reuses_dataset_and_model(finished_run, tmp_path,
     assert {name: (out / name).read_bytes() for name in ARTIFACTS} == before
 
 
+def test_skip_existing_reuses_manifests_with_decoder_mode_lines(
+        finished_run, tmp_path, capsys):
+    # manifests of earlier CLI versions, whose simulate and dataset stages
+    # had --metric and --node, record those settings too; reuse compares
+    # only the flags the recipe passes
+    out = tmp_path / "rerun"
+    shutil.copytree(finished_run, out)
+    for manifest in ("baseline.manifest", "dataset.txt.manifest"):
+        command, *rest = (out / manifest).read_text().splitlines()
+        rest += ["metric: approximate", "node: min_sum_f"]
+        (out / manifest).write_text("\n".join([command, *sorted(rest)])
+                                    + "\n")
+    (out / "candidates.txt").unlink()
+    assert run(out, "--skip-existing") == 0
+    printed = capsys.readouterr().out
+    for name in ("mask.txt", "baseline.csv", "dataset.txt", "model.txt"):
+        assert f"reusing {out / name}" in printed
+
+
 def test_skip_existing_reruns_a_stage_whose_settings_changed(
         finished_run, tmp_path, capsys):
     out = tmp_path / "rerun"
