@@ -3,13 +3,15 @@
 Frames are simulated in fixed-size batches. Each batch draws from its own
 Philox counter-based stream keyed by (seed, batch index), so every frame's
 randomness is a pure function of the global seed and its frame index and
-results are bit-identical for any worker count. Workers parallelize the
-batches of a round; a worker decodes a contiguous group of them in one
-call (a frame decodes the same in any batch), up to a budget of decoder
-state, so small codes make fewer, wider NumPy calls and threads contend
-less for the GIL. The set of batches contributing to the estimate is
-decided from cumulative counts in batch order only. Stages that estimate
-many masks run them on fork-started processes instead (`_estimate_jobs`).
+results are bit-identical for any worker count. A decode call covers a
+fixed, aligned run of batches, as many as a budget of decoder state allows
+(a frame decodes the same in any batch), so small codes make fewer, wider
+NumPy calls and threads contend less for the GIL. The estimate stops at
+the first call, in call order, whose cumulative errors reach the target:
+close to inverse binomial sampling (Haldane, Biometrika 1945), it
+overshoots by at most one call and never depends on the worker count.
+Workers decode consecutive calls. Stages that estimate many masks run
+them on fork-started processes instead (`_estimate_jobs`).
 """
 
 import math
@@ -30,9 +32,11 @@ __all__ = [
 ]
 
 BATCH_FRAMES = 512
-ROUND_BATCHES = 8
+MAX_CALL_BATCHES = 8
 # path-positions (frames x list size x N) a call of several batches may
-# decode: 1024 frames at (64,32) SCL-4, one batch once list size x N >= 512
+# decode: 1024 frames at (64,32) SCL-4, one batch once list size x N >= 512.
+# The call is also the stopping step, so changing the budget moves every
+# early-stopped estimate
 _DECODE_BUDGET = 1 << 18
 
 
@@ -167,12 +171,15 @@ def estimate_fer(
 ) -> FerEstimate:
     """Monte Carlo FER with early stopping at mc.target_frame_errors.
 
-    Batches are scheduled in fixed rounds of ROUND_BATCHES regardless of
-    worker count; the estimate always covers whole rounds, so it can
-    overshoot the error target by at most one round but never depends on
-    parallelism. Each round splits into contiguous groups of at most
-    ceil(batches / workers) batches and at most the decode budget's, each
-    one pool task and one decoder call; every batch keeps its own stream.
+    Call c decodes batches [c*m, (c+1)*m), cut at max_frames, where m is
+    as many batches as the decode budget holds, at most MAX_CALL_BATCHES;
+    m depends on the code and the decoder, never on the worker count. The
+    estimate is errors / frames over the calls up to the first whose
+    cumulative errors reach the target (or all of max_frames), with the
+    normal-approximation interval. That is close to inverse binomial
+    sampling: it overshoots the target by at most one call. Workers
+    decode `workers` consecutive calls at a time; the calls they decode
+    past the stopping call (at most workers - 1) are discarded.
     """
     mask.validate_for(spec)
     llr = 2.0 / channel.noise_variance  # of a noiseless symbol
@@ -183,24 +190,24 @@ def estimate_fer(
             f"more than a {np.dtype(decoder.dtype).name} decoder holds "
             f"({limit:.8g})")
     n_batches = -(-mc.max_frames // BATCH_FRAMES)
-    per_call = max(1, _DECODE_BUDGET // (
-        BATCH_FRAMES * decoder.list_size * spec.n_bits))
+    m = min(MAX_CALL_BATCHES, max(1, _DECODE_BUDGET // (
+        BATCH_FRAMES * decoder.list_size * spec.n_bits)))
+    span = m * mc.workers
 
-    def run(group):
-        return _simulate_group(spec, mask, decoder, channel, mc, group)
+    def run(start):
+        return _simulate_group(spec, mask, decoder, channel, mc,
+                               range(start, min(start + m, n_batches)))
 
     frames = errors = 0
     with ThreadPoolExecutor(mc.workers) as pool:
-        for start in range(0, n_batches, ROUND_BATCHES):
-            batches = range(start, min(start + ROUND_BATCHES, n_batches))
-            step = min(-(-len(batches) // mc.workers), per_call)
-            groups = [batches[i:i + step]
-                      for i in range(0, len(batches), step)]
-            for size, err in pool.map(run, groups):
+        for start in range(0, n_batches, span):
+            calls = range(start, min(start + span, n_batches), m)
+            for size, err in pool.map(run, calls):
                 frames += size
                 errors += err
-            if errors >= mc.target_frame_errors:
-                break
+                if errors >= mc.target_frame_errors:
+                    return FerEstimate.from_counts(errors, frames,
+                                                   channel.ebn0_db)
     return FerEstimate.from_counts(errors, frames, channel.ebn0_db)
 
 

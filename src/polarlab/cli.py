@@ -267,6 +267,9 @@ def cmd_plot(r):
             label, path = spec_token.split("=", 1)
         else:
             label, path = os.path.basename(spec_token), spec_token
+        if label in curves:
+            raise InvalidArgument(f"two curves are labelled {label!r}; "
+                                  f"name each one as label=path")
         curves[label] = io_formats.load_fer_curve(path)
     io_formats.write_atomic(r["out"], io_formats.render_fer_svg(curves))
     print(f"wrote {r['out']}")

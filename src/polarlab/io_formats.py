@@ -391,7 +391,10 @@ def emit_fer_curve(points: list[tuple[float, FerEstimate]],
 
 
 def load_fer_curve(path: str) -> list[tuple[float, float]]:
-    """The (ebn0_db, fer) points of a CSV written by emit_fer_curve."""
+    """The (ebn0_db, fer) points of a CSV written by emit_fer_curve.
+
+    Every column is checked: a finite Eb/N0, a FER in [0, 1], a finite
+    ci_halfwidth >= 0 and an integer frame count >= 1."""
     lines = _read_lines(path)
     if not lines or lines[0] != FER_CSV_HEADER:
         raise SchemaError(f"{path}:1: not a polarlab FER CSV")
@@ -400,13 +403,21 @@ def load_fer_curve(path: str) -> list[tuple[float, float]]:
         cols = row.split(",")
         if len(cols) != 4:
             raise SchemaError(f"{path}:{lineno}: expected 4 columns")
-        ebn0, fer = (_parse(float, c, path, lineno) for c in cols[:2])
+        ebn0, fer, halfwidth = (_parse(float, c, path, lineno)
+                                for c in cols[:3])
+        frames = _parse(int, cols[3], path, lineno)
         if not math.isfinite(ebn0):
             raise SchemaError(f"{path}:{lineno}: Eb/N0 must be finite, "
                               f"got {cols[0]!r}")
         if not 0 <= fer <= 1:  # false for NaN too
             raise SchemaError(f"{path}:{lineno}: FER must be in [0, 1], "
                               f"got {cols[1]!r}")
+        if not 0 <= halfwidth < math.inf:  # false for NaN too
+            raise SchemaError(f"{path}:{lineno}: ci_halfwidth must be "
+                              f"finite and >= 0, got {cols[2]!r}")
+        if frames < 1:
+            raise SchemaError(f"{path}:{lineno}: frames must be >= 1, "
+                              f"got {cols[3]!r}")
         points.append((ebn0, fer))
     return points
 

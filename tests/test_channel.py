@@ -85,9 +85,8 @@ def test_worker_count_does_not_change_estimate():
 
 
 def test_grouped_batches_match_batch_by_batch_at_any_worker_count():
-    # (32,16) SCL-2 decodes up to 8 batches per call, so a round goes to
-    # 1, 2, 3 or 8 calls at these worker counts. 11 batches, the last one
-    # partial, make a second round of 3 that ends in the partial batch
+    # (32,16) SCL-2 decodes up to 8 batches per call: 11 batches, the last
+    # one partial, make a second call of 3 that ends in the partial batch
     spec = CodeSpec(32, 16)
     mask = build_mask(spec, ga_reliabilities(spec, 2.0))
     dec = DecoderConfig("scl", 2)
@@ -139,14 +138,85 @@ def test_seed_changes_stream_batch_keying():
     assert not np.array_equal(a, _batch_rng(1, 1).random(8))
 
 
-def test_early_stopping_is_round_aligned():
-    spec = CodeSpec(16, 8)
-    mask = FrozenMask(np.array([1] * 8 + [0] * 8, dtype=np.uint8))
-    dec = DecoderConfig("sc")
+@pytest.mark.parametrize("n,k,decoder,frames", [
+    (16, 8, DecoderConfig("sc"), 8 * BATCH_FRAMES),
+    (64, 32, DecoderConfig("scl", 4), 2 * BATCH_FRAMES)],
+    ids=["n16_sc", "n64_scl4"])
+def test_early_stopping_is_call_aligned(n, k, decoder, frames):
+    # a call holds 8 batches at (16,8) SC and 2 at (64,32) SCL-4
+    spec = CodeSpec(n, k)
+    mask = FrozenMask(np.repeat(np.uint8([1, 0]), n // 2))
     ch = ChannelConfig(0.0, 0.5)  # noisy: errors arrive immediately
-    est = estimate_fer(spec, mask, dec, ch, MonteCarloConfig(3, 1, 100_000))
-    assert est.frames == 8 * BATCH_FRAMES  # exactly one round
+    est = estimate_fer(spec, mask, decoder, ch,
+                       MonteCarloConfig(3, 1, 100_000))
+    assert est.frames == frames  # exactly one call
     assert est.frame_errors >= 1
+
+
+def _stopped_prefix(calls, target):
+    """(frames, errors) summed over calls up to the first whose
+    cumulative errors reach target."""
+    frames = errors = 0
+    for size, err in calls:
+        frames += size
+        errors += err
+        if errors >= target:
+            break
+    return frames, errors
+
+
+def test_estimate_is_the_prefix_of_aligned_calls_at_any_worker_count():
+    # (64,32) SCL-4 calls hold 2 batches: 8 batches, the last one partial,
+    # make 4 calls, so the 1, 2, 3 and 8 workers split them differently
+    spec = CodeSpec(64, 32)
+    mask = build_mask(spec, ga_reliabilities(spec, 3.2))
+    dec = DecoderConfig("scl", 4)
+    ch = ChannelConfig(1.5, 0.5)
+    max_frames = 7 * BATCH_FRAMES + 300
+    mc = MonteCarloConfig(11, 1, max_frames)
+    calls = [_simulate_group(spec, mask, dec, ch, mc, range(b, min(b + 2, 8)))
+             for b in range(0, 8, 2)]
+    cumulative = np.cumsum([err for _, err in calls])
+    assert 0 < cumulative[0] and calls[-1][0] == BATCH_FRAMES + 300
+    # stop in the second call, in the last (partial) call, or never
+    targets = (int(cumulative[0]) + 1, int(cumulative[-1]), 10**9)
+    assert _stopped_prefix(calls, targets[0])[0] == 4 * BATCH_FRAMES
+    for target in targets:
+        expected = _stopped_prefix(calls, target)
+        for w in (1, 2, 3, 8):
+            run = dataclasses.replace(mc, target_frame_errors=target,
+                                      workers=w)
+            est = estimate_fer(spec, mask, dec, ch, run)
+            assert (est.frames, est.frame_errors) == expected, (target, w)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_at_most_workers_minus_one_calls_pass_the_stopping_call(
+        workers, monkeypatch):
+    # at w workers the pool decodes w calls at a time, so at most w - 1
+    # calls past the stopping one
+    spec = CodeSpec(64, 32)
+    mask = build_mask(spec, ga_reliabilities(spec, 3.2))
+    seen = []
+    decode = channel.decode_batch
+
+    def spy(spec, mask, config, llrs):
+        seen.append(len(llrs))
+        return decode(spec, mask, config, llrs)
+
+    monkeypatch.setattr(channel, "decode_batch", spy)
+    dec, ch = DecoderConfig("scl", 4), ChannelConfig(1.5, 0.5)
+    mc = MonteCarloConfig(5, 200, 100_000, workers)
+    est = estimate_fer(spec, mask, dec, ch, mc)
+    used = est.frames // (2 * BATCH_FRAMES)
+    assert est.frames == used * 2 * BATCH_FRAMES and used > 1
+    assert set(seen) == {2 * BATCH_FRAMES}
+    assert used <= len(seen) <= used + workers - 1
+    # the last call used is the first to reach the target
+    _, last = _simulate_group(spec, mask, dec, ch, mc,
+                              range(2 * used - 2, 2 * used))
+    assert est.frame_errors - last < mc.target_frame_errors \
+        <= est.frame_errors
 
 
 def test_max_frames_caps_the_run():

@@ -153,6 +153,24 @@ def test_plot_combines_csvs(tmp_path, mask_file):
     assert run("plot", str(tmp_path / "missing.csv"), "--out", out) == 3
 
 
+def test_plot_rejects_a_repeated_label(tmp_path, mask_file, capsys):
+    for run_dir in ("r1", "r2"):
+        (tmp_path / run_dir).mkdir()
+        assert run("simulate", "--mask", mask_file, "--ebn0", "2.0",
+                   "--list-size", "1", "--target-errors", "5",
+                   "--max-frames", "5000",
+                   "--out", str(tmp_path / run_dir / "fer")) == 0
+    r1, r2 = (str(tmp_path / d / "fer.csv") for d in ("r1", "r2"))
+    out = tmp_path / "dup.svg"
+    capsys.readouterr()
+    assert run("plot", r1, r2, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "'fer.csv'" in err and "label=path" in err
+    assert not out.exists()
+    assert run("plot", f"r1={r1}", f"r2={r2}", "--out", str(out)) == 0
+    assert run("plot", f"x={r1}", f"x={r2}", "--out", str(out)) == 2
+
+
 @pytest.mark.parametrize("suffix", ["", ".manifest"])
 def test_plot_failed_write_keeps_previous_file(tmp_path, mask_file,
                                                monkeypatch, suffix):

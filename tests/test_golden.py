@@ -118,17 +118,18 @@ def _config_id(config):
 
 
 @pytest.mark.parametrize("n,k,config,ebn0_db,mc,expected", [
-    # early-stopped: three rounds, overshooting the 50-error target
+    # early-stopped after nine 1024-frame calls, overshooting the
+    # 50-error target by the last call's errors
     (64, 32, DecoderConfig("scl", 4), 3.5, MonteCarloConfig(seed=7, target_frame_errors=50),
-     (0.005940755208333333, 12288, 73)),
+     (0.005967881944444444, 9216, 55)),
     # paper-recipe decoder on a fixed frame budget
     (256, 128, DecoderConfig("scl", 32), 1.5,
      MonteCarloConfig(seed=7, target_frame_errors=10**6, max_frames=1024),
      (0.0791015625, 1024, 81)),
-    # SC, early-stopped after one round
+    # SC, early-stopped after one 1024-frame call
     (256, 128, DecoderConfig("sc"), 2.5,
      MonteCarloConfig(seed=7, target_frame_errors=50),
-     (0.04833984375, 4096, 198)),
+     (0.05078125, 1024, 52)),
 ], ids=lambda v: _config_id(v) if isinstance(v, DecoderConfig) else None)
 def test_estimate_fer_pins(n, k, config, ebn0_db, mc, expected):
     spec = CodeSpec(n, k)
@@ -139,7 +140,7 @@ def test_estimate_fer_pins(n, k, config, ebn0_db, mc, expected):
 
 DATASET_STAGE_SHA256 = {
     "mask.txt": "cee562d37ddd21b48db7f481e6b225a2075d848be18f7e8be67a56b0527c05dd",
-    "dataset.txt": "3d89915a7861ccbf91e6e4ef7dff7ffb02850392dae1591038a1639990be8682",
+    "dataset.txt": "bfad2adea2a423947f4ebd8fa91d85f783869c3191de6ad6e506333d6a80e17b",
 }
 
 

@@ -388,7 +388,8 @@ def test_fer_curve_load_round_trip_and_rejects_bad_rows(tmp_path):
     csv_path, _ = iof.emit_fer_curve(pts, str(tmp_path / "curve"))
     assert iof.load_fer_curve(csv_path) == [(e, est.fer) for e, est in pts]
     lines = (tmp_path / "curve.csv").read_text().splitlines()
-    for bad_row in ("1.0,abc,0.1,100", "1.0,0.5,0.1"):
+    for bad_row in ("1.0,abc,0.1,100", "1.0,0.5,0.1", "1.0,0.01,abc,xyz",
+                    "1.0,0.5,0.1,xyz", "1.0,0.5,0.1,100.0"):
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines[:3] + [bad_row]) + "\n")
         with pytest.raises(SchemaError, match=r"bad\.csv:4"):
@@ -400,7 +401,12 @@ def test_fer_curve_load_round_trip_and_rejects_bad_rows(tmp_path):
                           ("1.0,1e400,0.1,100", "FER"),
                           ("1.0,1.5,0.1,100", "FER"),
                           ("1.0,-1e-3,0.1,100", "FER"),
-                          ("1.0,nan,0.1,100", "FER")):
+                          ("1.0,nan,0.1,100", "FER"),
+                          ("1.0,0.5,-0.1,100", "ci_halfwidth"),
+                          ("1.0,0.5,inf,100", "ci_halfwidth"),
+                          ("1.0,0.5,nan,100", "ci_halfwidth"),
+                          ("1.0,0.5,0.1,0", "frames"),
+                          ("1.0,0.5,0.1,-5", "frames")):
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines[:3] + [bad_row]) + "\n")
         with pytest.raises(SchemaError, match=rf"bad\.csv:4: {what}"):
