@@ -31,7 +31,7 @@ import os
 import sys
 
 from polarlab import cli
-from polarlab.channel import ChannelConfig
+from polarlab.channel import MAX_WORKERS, ChannelConfig
 from polarlab.codec import CodeSpec, DecoderConfig
 from polarlab.construction import ga_reliabilities, select_shuffle_range
 
@@ -78,7 +78,8 @@ def _reusable(output: str, argv: list[str]) -> bool:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    ap.add_argument("--workers", type=int,
+                    default=min(os.cpu_count() or 1, MAX_WORKERS))
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out-dir", default="runs/large")
     ap.add_argument("--skip-existing", action="store_true",

@@ -6,16 +6,16 @@ randomness is a pure function of the global seed and its frame index and
 results are bit-identical for any worker count. A decode call covers a
 fixed, aligned run of batches, as many as a budget of decoder state allows
 (a frame decodes the same in any batch), so small codes make fewer, wider
-NumPy calls and threads contend less for the GIL. The estimate stops at
-the first call, in call order, whose cumulative errors reach the target:
-close to inverse binomial sampling (Haldane, Biometrika 1945), it
-overshoots by at most one call and never depends on the worker count.
-Workers decode consecutive calls. Stages that estimate many masks run
-them on fork-started processes instead (`_estimate_jobs`).
+NumPy calls. An estimate stops at the first call, in call order, whose
+cumulative errors reach the target: close to inverse binomial sampling
+(Haldane, Biometrika 1945), it overshoots by at most one call and never
+depends on the worker count. `estimate_jobs` runs the calls of one or many
+estimates on one kept pool of fork-started processes, one call per task.
 """
 
+import atexit
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,6 +29,8 @@ __all__ = [
     "FerEstimate",
     "transmit",
     "estimate_fer",
+    "estimate_jobs",
+    "MAX_WORKERS",
 ]
 
 BATCH_FRAMES = 512
@@ -38,6 +40,8 @@ MAX_CALL_BATCHES = 8
 # The call is also the stopping step, so changing the budget moves every
 # early-stopped estimate
 _DECODE_BUDGET = 1 << 18
+# a fork pool starts all its processes at once: the most a run may ask for
+MAX_WORKERS = 256
 
 
 @dataclass(frozen=True)
@@ -75,8 +79,8 @@ class MonteCarloConfig:
             raise InvalidArgument("target_frame_errors must be >= 1")
         if self.max_frames < 1:
             raise InvalidArgument("max_frames must be >= 1")
-        if self.workers < 1:
-            raise InvalidArgument("workers must be >= 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise InvalidArgument(f"workers must be in [1, {MAX_WORKERS}]")
         if not 0 <= self.seed < 2**64:
             raise InvalidArgument("seed must be in [0, 2**64)")
 
@@ -162,25 +166,8 @@ def _simulate_group(spec, mask, decoder, channel, mc, group):
     return frames, int(np.any(decoded != payload, axis=1).sum())
 
 
-def estimate_fer(
-    spec: CodeSpec,
-    mask: FrozenMask,
-    decoder: DecoderConfig,
-    channel: ChannelConfig,
-    mc: MonteCarloConfig,
-) -> FerEstimate:
-    """Monte Carlo FER with early stopping at mc.target_frame_errors.
-
-    Call c decodes batches [c*m, (c+1)*m), cut at max_frames, where m is
-    as many batches as the decode budget holds, at most MAX_CALL_BATCHES;
-    m depends on the code and the decoder, never on the worker count. The
-    estimate is errors / frames over the calls up to the first whose
-    cumulative errors reach the target (or all of max_frames), with the
-    normal-approximation interval. That is close to inverse binomial
-    sampling: it overshoots the target by at most one call. Workers
-    decode `workers` consecutive calls at a time; the calls they decode
-    past the stopping call (at most workers - 1) are discarded.
-    """
+def _check(spec, mask, decoder, channel):
+    """Raise what rules a job out before its first call."""
     mask.validate_for(spec)
     llr = 2.0 / channel.noise_variance  # of a noiseless symbol
     limit = float(np.finfo(decoder.dtype).max)
@@ -189,81 +176,123 @@ def estimate_fer(
             f"Eb/N0 {channel.ebn0_db} dB gives noiseless LLRs of {llr:.4g}, "
             f"more than a {np.dtype(decoder.dtype).name} decoder holds "
             f"({limit:.8g})")
-    n_batches = -(-mc.max_frames // BATCH_FRAMES)
-    m = min(MAX_CALL_BATCHES, max(1, _DECODE_BUDGET // (
-        BATCH_FRAMES * decoder.list_size * spec.n_bits)))
-    span = m * mc.workers
-
-    def run(start):
-        return _simulate_group(spec, mask, decoder, channel, mc,
-                               range(start, min(start + m, n_batches)))
-
-    frames = errors = 0
-    with ThreadPoolExecutor(mc.workers) as pool:
-        for start in range(0, n_batches, span):
-            calls = range(start, min(start + span, n_batches), m)
-            for size, err in pool.map(run, calls):
-                frames += size
-                errors += err
-                if errors >= mc.target_frame_errors:
-                    return FerEstimate.from_counts(errors, frames,
-                                                   channel.ebn0_db)
-    return FerEstimate.from_counts(errors, frames, channel.ebn0_db)
 
 
-def _attempt(estimate, spec, mask, decoder, channel, mc):
-    """estimate(...)'s result, or the PolarLabError it raised."""
+def _caught(fn, *args):
+    """fn(*args), or the PolarLabError it raised."""
     try:
-        return estimate(spec, mask, decoder, channel, mc)
+        return fn(*args)
     except PolarLabError as exc:
         return exc
 
 
-_forked = None  # (estimate, spec, decoder, channel) in a pool process
+def _call(task):
+    # a pool task: _simulate_group is looked up in the process that runs it
+    return _caught(_simulate_group, *task)
 
 
-def _adopt(*state):
-    global _forked
-    _forked = state
+_kept = None  # (workers, the pool of that many processes)
 
 
-def _run_job(mask, mc):
-    estimate, spec, decoder, channel = _forked
-    return _attempt(estimate, spec, mask, decoder, channel, mc)
+def _pool(workers):
+    """The kept pool of `workers` fork-started processes; a new count shuts
+    the old pool down first. Fork copies this process as it is, so the
+    caller must run no other threads when the pool starts."""
+    global _kept
+    if _kept is None or _kept[0] != workers:
+        _close_pool()
+        # imported here: at module level they would add ~17 ms to every import
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        _kept = workers, ProcessPoolExecutor(
+            workers, multiprocessing.get_context("fork"))
+    return _kept[1]
 
 
-def _estimate_jobs(estimate, spec, decoder, channel, jobs, workers):
-    """Yield, in job order, each (mask, mc) job's
-    estimate(spec, mask, decoder, channel, mc), or the PolarLabError it
-    raised.
+def _close_pool():
+    global _kept
+    if _kept is not None:
+        _kept[1].shutdown(cancel_futures=True)
+        _kept = None
 
-    With p = min(workers, len(jobs)) > 1, the jobs run one per task on p
-    fork-started processes, each estimate on workers // p threads.
-    Otherwise each runs here, lazily and as given. A job's seed alone
-    fixes its estimate, so the split changes no result. Fork passes
-    `estimate` to the children as it is (a wrapped or patched function
-    too) and starts a pool in milliseconds; the caller must run no other
-    threads. The children log nothing, so the caller reports each
-    yielded error. Any other exception propagates, and the pool is shut
-    down before the generator ends.
+
+# shut the pool down before the interpreter tears down what its threads use
+atexit.register(_close_pool)
+
+
+def estimate_jobs(spec, decoder, channel, jobs, workers):
+    """Yield, in job order, each (mask, mc) job's FerEstimate, or the
+    PolarLabError the job raised.
+
+    A job's call c decodes batches [c*m, (c+1)*m), cut at mc.max_frames,
+    where m is as many batches as the decode budget holds (at most
+    MAX_CALL_BATCHES) for this code and decoder. The estimate is errors /
+    frames over the calls up to the first whose cumulative errors reach
+    mc.target_frame_errors (or all of max_frames), with the
+    normal-approximation interval: it overshoots the target by at most one
+    call and depends on the job's seed alone.
+
+    Calls run in rounds of `workers`, one call per task: job k of the
+    first L <= workers unfinished jobs gets its next workers // L +
+    (k < workers % L) calls. So a lone job decodes at most workers - 1
+    calls past its stop, and L = workers jobs decode none. At one worker
+    the calls run here, lazily, and above one on the kept pool (`_pool`).
+    The parent checks each job before its first call and reports each
+    yielded error, as the children log nothing. Any other exception
+    propagates and shuts the pool down.
     """
-    p = min(workers, len(jobs))
-    if p <= 1:
-        for mask, mc in jobs:
-            yield _attempt(estimate, spec, mask, decoder, channel, mc)
-        return
-    # imported here: at module level they would add ~17 ms to every import
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    threads = workers // p
-    pool = ProcessPoolExecutor(p, multiprocessing.get_context("fork"),
-                               initializer=_adopt,
-                               initargs=(estimate, spec, decoder, channel))
+    m = min(MAX_CALL_BATCHES, max(1, _DECODE_BUDGET // (
+        BATCH_FRAMES * decoder.list_size * spec.n_bits)))
+    ends = [_caught(_check, spec, mask, decoder, channel) for mask, _ in jobs]
+    starts, frames, errors = ([0] * len(jobs) for _ in range(3))
     try:
-        futures = [pool.submit(_run_job, mask, replace(mc, workers=threads))
-                   for mask, mc in jobs]
-        for future in futures:
-            yield future.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+        for j in range(len(jobs)):
+            while ends[j] is None:
+                live = list(itertools.islice(
+                    (i for i in range(j, len(jobs)) if ends[i] is None),
+                    workers))
+                tasks, owners = [], []
+                for k, i in enumerate(live):
+                    mask, mc = jobs[i]
+                    n_batches = -(-mc.max_frames // BATCH_FRAMES)
+                    stop = starts[i] + m * (workers // len(live)
+                                            + (k < workers % len(live)))
+                    for b in range(starts[i], min(stop, n_batches), m):
+                        tasks.append((spec, mask, decoder, channel, mc,
+                                      range(b, min(b + m, n_batches))))
+                        owners.append(i)
+                    starts[i] = stop
+                run = map if workers == 1 else _pool(workers).map
+                for i, outcome in zip(owners, run(_call, tasks)):
+                    if ends[i] is not None:  # stopped at an earlier call
+                        continue
+                    if isinstance(outcome, PolarLabError):
+                        ends[i] = outcome
+                        continue
+                    frames[i] += outcome[0]
+                    errors[i] += outcome[1]
+                    mc = jobs[i][1]
+                    if (errors[i] >= mc.target_frame_errors
+                            or frames[i] == mc.max_frames):
+                        ends[i] = FerEstimate.from_counts(
+                            errors[i], frames[i], channel.ebn0_db)
+            yield ends[j]
+    except BaseException:
+        _close_pool()  # calls may still run on it, or it may be broken
+        raise
+
+
+def estimate_fer(
+    spec: CodeSpec,
+    mask: FrozenMask,
+    decoder: DecoderConfig,
+    channel: ChannelConfig,
+    mc: MonteCarloConfig,
+) -> FerEstimate:
+    """Monte Carlo FER with early stopping at mc.target_frame_errors: the
+    one-job case of `estimate_jobs` on mc.workers workers, re-raising the
+    job's PolarLabError."""
+    est, = estimate_jobs(spec, decoder, channel, [(mask, mc)], mc.workers)
+    if isinstance(est, PolarLabError):
+        raise est
+    return est

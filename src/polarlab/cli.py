@@ -50,7 +50,7 @@ def _add_options(parser, opts):
 
 def _load_config_file(path: str) -> dict[str, str]:
     """Flat `key = value` file; '#' starts a comment."""
-    values = {}
+    values, seen = {}, {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -63,7 +63,11 @@ def _load_config_file(path: str) -> dict[str, str]:
         if "=" not in text:
             raise SchemaError(f"{path}:{lineno}: expected key=value")
         key, value = text.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in seen:
+            raise SchemaError(f"{path}:{lineno}: key {key!r} repeats line "
+                              f"{seen[key]}")
+        values[key], seen[key] = value.strip(), lineno
     return values
 
 
@@ -141,10 +145,9 @@ _LIST_SIZE_OPT = _Opt("--list-size", int, 4, "SCL list size (1 = plain SC)")
 _MC_OPTS = [
     _Opt("--seed", int, 0, "global RNG seed"),
     _Opt("--threads", int, 1,
-         "Monte Carlo workers: a dataset's masks run on p = "
-         "min(threads, masks) processes of threads // p threads each; "
-         "simulate and search run each estimate on all of them as "
-         "threads"),
+         f"Monte Carlo worker processes (at most {channel.MAX_WORKERS}), "
+         "one decode call per task; at 1 every call decodes in this "
+         "process"),
     _Opt("--target-errors", int, 100, "frame errors before early stop"),
     _Opt("--max-frames", int, 1_000_000, "frame budget per point"),
 ]

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# estimate_fer stays a name here: perfbench/tracer.py wraps it by name
 from .channel import (ChannelConfig, MonteCarloConfig, FerEstimate,
-                      _estimate_jobs, estimate_fer)
+                      estimate_fer, estimate_jobs)
 from .codec import CodeSpec, DecoderConfig, FrozenMask
 from .errors import InvalidArgument, InvalidState, NumericError, PolarLabError
 
@@ -164,11 +165,11 @@ def generate_dataset(
     """D shuffled variants around the frozen/info boundary, deduplicated
     before simulation, each paired with its Monte Carlo FER.
 
-    Mask i is estimated under mc.derive(i). With mc.workers > 1 the masks
-    run on min(workers, masks) processes (see `channel._estimate_jobs`),
-    and the records are the same at any worker count. A mask whose
-    estimate fails is logged and skipped; progress(i + 1, masks) follows
-    every mask, in mask order.
+    Mask i is estimated under mc.derive(i), all masks on one call-level
+    pool of mc.workers processes (see `channel.estimate_jobs`), and the
+    records are the same at any worker count. A mask whose estimate fails
+    is logged and skipped; progress(i + 1, masks) follows every mask, in
+    mask order.
     """
     lo, hi = _window_bounds(spec, order, shuffle.range_r)
     unique: dict[bytes, FrozenMask] = {}
@@ -180,8 +181,8 @@ def generate_dataset(
 
     jobs = [(mask, mc.derive(i)) for i, mask in enumerate(masks)]
     records = []
-    for i, est in enumerate(_estimate_jobs(estimate_fer, spec, decoder,
-                                           channel, jobs, mc.workers)):
+    for i, est in enumerate(estimate_jobs(spec, decoder, channel, jobs,
+                                          mc.workers)):
         if isinstance(est, PolarLabError):
             log.warning("skipping mask %d: simulation failed (%s)", i, est)
         else:
@@ -205,11 +206,10 @@ def select_shuffle_range(
     """Largest candidate r whose pilot max/min FER ratio stays <=
     PILOT_RATIO_TARGET.
 
-    Pilots run at reduced precision (30 frame errors). With workers > 1
-    they all run on min(workers, pilots) processes (see
-    `channel._estimate_jobs`), and the choice is the same at any worker
-    count. Falls back to the smallest candidate when every ratio
-    overshoots.
+    Pilots run at reduced precision (30 frame errors), all on one
+    call-level pool of `workers` processes (see `channel.estimate_jobs`),
+    and the choice is the same at any worker count. Falls back to the
+    smallest candidate when every ratio overshoots.
     """
     if pilot_size < 1:
         raise InvalidArgument("pilot_size must be >= 1")
@@ -228,9 +228,8 @@ def select_shuffle_range(
             jobs.append((_shuffled_mask(spec, order, lo, hi, rng),
                          pilot_mc.derive(r, p)))
     fers = {r: [] for r in candidate_rs}
-    # the results come first, so zip runs them out and the pool ends
-    for est, (r, p) in zip(_estimate_jobs(estimate_fer, spec, decoder,
-                                          channel, jobs, workers), keys):
+    for est, (r, p) in zip(estimate_jobs(spec, decoder, channel, jobs,
+                                         workers), keys):
         if isinstance(est, PolarLabError):
             log.warning("pilot r=%d shuffle %d failed (%s)", r, p, est)
         else:

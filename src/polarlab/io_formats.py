@@ -116,8 +116,11 @@ def _read_artifact(path: str, version: str):
             continue
         if ":" not in text:
             raise SchemaError(f"{path}:{lineno}: malformed header line {line!r}")
-        key, value = text.split(":", 1)
-        fields[key.strip()] = (value.strip(), lineno)
+        key, value = (part.strip() for part in text.split(":", 1))
+        if key in fields:
+            raise SchemaError(f"{path}:{lineno}: header field {key!r} "
+                              f"repeats line {fields[key][1]}")
+        fields[key] = (value, lineno)
     return fields, _body_rows(lines, 1)
 
 

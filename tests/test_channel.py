@@ -4,15 +4,18 @@ Q-function, reproducibility across worker counts, and estimate bookkeeping."""
 import dataclasses
 import math
 import pickle
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.special import erfc
 
 from polarlab import channel
-from polarlab.channel import (BATCH_FRAMES, ChannelConfig, FerEstimate,
-                              MonteCarloConfig, _batch_rng, _simulate_group,
-                              estimate_fer, transmit)
+from polarlab.channel import (BATCH_FRAMES, MAX_WORKERS, ChannelConfig,
+                              FerEstimate, MonteCarloConfig, _batch_rng,
+                              _simulate_group, estimate_fer, estimate_jobs,
+                              transmit)
 from polarlab.codec import CodeSpec, DecoderConfig, FrozenMask
 from polarlab.construction import build_mask, ga_reliabilities
 from polarlab.errors import InvalidArgument, PolarLabError
@@ -104,27 +107,35 @@ def test_grouped_batches_match_batch_by_batch_at_any_worker_count():
     assert 0 < errors < max_frames
 
 
+def _spy_rows(monkeypatch, path):
+    """Patch decode_batch to append each call's row count to `path`, from
+    whichever process decodes it; returns a reader of the counts."""
+    decode = channel.decode_batch
+
+    def spy(spec, mask, config, llrs):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{len(llrs)}\n")
+        return decode(spec, mask, config, llrs)
+
+    monkeypatch.setattr(channel, "decode_batch", spy)
+    return lambda: [int(rows) for rows in path.read_text().split()]
+
+
 @pytest.mark.parametrize("n,k,list_size,max_frames,rows", [
     (64, 32, 4, 4 * 2 * BATCH_FRAMES, {2 * BATCH_FRAMES}),
     (256, 128, 32, 2 * BATCH_FRAMES + 76, {BATCH_FRAMES, 76})],
     ids=["n64_scl4", "n256_scl32"])
 def test_decode_calls_hold_at_most_the_budget(n, k, list_size, max_frames,
-                                              rows, monkeypatch):
+                                              rows, monkeypatch, tmp_path):
     # two batches per call at (64,32) SCL-4, one at (256,128) SCL-32,
     # whose decoder state at 512 frames is as large as a call should hold
     spec = CodeSpec(n, k)
     mask = build_mask(spec, ga_reliabilities(spec, 3.2))
-    seen = []
-    decode = channel.decode_batch
-
-    def spy(spec, mask, config, llrs):
-        seen.append(len(llrs))
-        return decode(spec, mask, config, llrs)
-
-    monkeypatch.setattr(channel, "decode_batch", spy)
+    seen = _spy_rows(monkeypatch, tmp_path / "rows")
     est = estimate_fer(spec, mask, DecoderConfig("scl", list_size),
                        ChannelConfig(3.2, 0.5),
                        MonteCarloConfig(3, 10**9, max_frames, workers=2))
+    seen = seen()
     assert est.frames == sum(seen) == max_frames
     assert set(seen) == rows
 
@@ -192,22 +203,16 @@ def test_estimate_is_the_prefix_of_aligned_calls_at_any_worker_count():
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
 def test_at_most_workers_minus_one_calls_pass_the_stopping_call(
-        workers, monkeypatch):
-    # at w workers the pool decodes w calls at a time, so at most w - 1
-    # calls past the stopping one
+        workers, monkeypatch, tmp_path):
+    # at w workers a lone estimate decodes w calls per round, so at most
+    # w - 1 calls past the stopping one
     spec = CodeSpec(64, 32)
     mask = build_mask(spec, ga_reliabilities(spec, 3.2))
-    seen = []
-    decode = channel.decode_batch
-
-    def spy(spec, mask, config, llrs):
-        seen.append(len(llrs))
-        return decode(spec, mask, config, llrs)
-
-    monkeypatch.setattr(channel, "decode_batch", spy)
+    seen = _spy_rows(monkeypatch, tmp_path / "rows")
     dec, ch = DecoderConfig("scl", 4), ChannelConfig(1.5, 0.5)
     mc = MonteCarloConfig(5, 200, 100_000, workers)
     est = estimate_fer(spec, mask, dec, ch, mc)
+    seen = seen()
     used = est.frames // (2 * BATCH_FRAMES)
     assert est.frames == used * 2 * BATCH_FRAMES and used > 1
     assert set(seen) == {2 * BATCH_FRAMES}
@@ -217,6 +222,41 @@ def test_at_most_workers_minus_one_calls_pass_the_stopping_call(
                               range(2 * used - 2, 2 * used))
     assert est.frame_errors - last < mc.target_frame_errors \
         <= est.frame_errors
+
+
+def test_a_round_runs_one_call_each_for_the_first_workers_jobs(
+        monkeypatch):
+    """On a stand-in pool of 4 threads, the first round's 4 calls are in
+    flight together (a 4-party barrier times out otherwise) and belong to
+    4 different jobs; the estimates equal those at one worker."""
+    spec, dec = CodeSpec(16, 8), DecoderConfig("sc")
+    ch = ChannelConfig(1.0, 0.5)
+    rng = np.random.default_rng(4)
+    jobs = []
+    for seed in range(5):  # 3 calls of 8 batches each, the target unmet
+        bits = np.zeros(16, dtype=np.uint8)
+        bits[rng.permutation(16)[:8]] = 1
+        jobs.append((FrozenMask(bits),
+                     MonteCarloConfig(seed, 10**9, 3 * 8 * BATCH_FRAMES)))
+    expected = list(estimate_jobs(spec, dec, ch, jobs, 1))
+    barrier = threading.Barrier(4, timeout=10)
+    seen, lock = [], threading.Lock()
+
+    def group(spec, mask, decoder, ch, mc, batches):
+        with lock:
+            seen.append(mask.bits.tobytes())
+            first_round = len(seen) <= 4
+        if first_round:
+            barrier.wait()
+        return _simulate_group(spec, mask, decoder, ch, mc, batches)
+
+    with ThreadPoolExecutor(4) as pool:
+        monkeypatch.setattr(channel, "_pool", lambda workers: pool)
+        monkeypatch.setattr(channel, "_simulate_group", group)
+        assert list(estimate_jobs(spec, dec, ch, jobs, 4)) == expected
+    assert len(set(seen[:4])) == 4
+    assert len(seen) == 15 and all(e.frames == 3 * 8 * BATCH_FRAMES
+                                   for e in expected)
 
 
 def test_max_frames_caps_the_run():
@@ -263,12 +303,13 @@ def test_fer_estimate_bookkeeping():
 def test_mc_config_validation():
     # Philox takes a 64-bit key: a larger seed would alias seed mod 2**64
     for bad in (dict(target_frame_errors=0), dict(max_frames=0),
-                dict(workers=0), dict(seed=-1), dict(seed=2**64),
-                dict(seed=5 + 2**64)):
+                dict(workers=0), dict(workers=MAX_WORKERS + 1),
+                dict(seed=-1), dict(seed=2**64), dict(seed=5 + 2**64)):
         with pytest.raises(InvalidArgument):
             MonteCarloConfig(**{"seed": 0, "target_frame_errors": 100,
                                 "max_frames": 1000, "workers": 1, **bad})
     assert MonteCarloConfig(2**64 - 1).seed == 2**64 - 1
+    assert MonteCarloConfig(workers=MAX_WORKERS).workers == MAX_WORKERS
 
 
 def test_mc_config_derive_spawns_a_child_seed():

@@ -1,15 +1,22 @@
 """CLI tests: subcommand behavior, exit codes, manifests, and configuration
-precedence. Commands run in-process through main()."""
+precedence. Commands run in-process through main(), except where a test
+checks what a whole CLI process leaves behind."""
 
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from polarlab import io_formats, search
+from polarlab import channel, io_formats, search
 from polarlab.cli import main
 from polarlab.codec import CodeSpec, DecoderConfig
 from polarlab.construction import build_mask, ga_reliabilities
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run(*argv):
@@ -225,6 +232,51 @@ def test_config_file_rejects_unknown_keys(tmp_path, mask_file):
                "--out", str(tmp_path / "x")) == 2
 
 
+def test_config_file_rejects_a_repeated_key(tmp_path, mask_file, capsys):
+    # list-size and list_size name the same option
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("seed = 1\nlist-size = 2\n\nlist_size = 4\n")
+    assert run("simulate", "--mask", mask_file, "--config", str(cfg),
+               "--out", str(tmp_path / "x")) == 3
+    assert "sim.cfg:4: key 'list_size' repeats line 2" in \
+        capsys.readouterr().err
+    assert not list(tmp_path.glob("x*"))
+
+
+def test_threads_past_the_cap_are_a_usage_error(tmp_path, mask_file,
+                                                monkeypatch, capsys):
+    # rejected before any worker starts: a fork pool starts all at once
+    def refuse(workers):
+        raise AssertionError("a pool started")
+
+    monkeypatch.setattr(channel, "_pool", refuse)
+    out = tmp_path / "fer"
+    assert run("simulate", "--mask", mask_file, "--threads", "100000",
+               "--out", str(out)) == 2
+    assert f"workers must be in [1, {channel.MAX_WORKERS}]" in \
+        capsys.readouterr().err
+    assert not list(tmp_path.glob("fer*"))
+
+
+def test_no_process_outlives_a_dataset_run(tmp_path):
+    """The kept pool's processes end with the command, and its shutdown
+    at exit prints nothing."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "polarlab.cli", "dataset", "--n", "16",
+         "--k", "8", "--range-r", "2", "--count-d", "6", "--list-size", "2",
+         "--target-errors", "10", "--max-frames", "8192", "--threads", "2",
+         "--out", str(tmp_path / "ds.txt")],
+        cwd=tmp_path, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True, start_new_session=True)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    assert "Exception ignored" not in err
+
+
 def test_train_has_no_batchnorm_option(tmp_path, dataset_file, capsys):
     out = tmp_path / "model.txt"
     with pytest.raises(SystemExit) as exc:
@@ -332,13 +384,12 @@ def test_manifest_echoes_resolved_config(tmp_path, mask_file):
 
 def test_dataset_with_every_mask_skipped_writes_nothing(tmp_path,
                                                         monkeypatch, capsys):
-    from polarlab import construction
     from polarlab.errors import NumericError
 
     def fail(*args, **kwargs):
         raise NumericError("no frames simulated")
 
-    monkeypatch.setattr(construction, "estimate_fer", fail)
+    monkeypatch.setattr(channel, "_simulate_group", fail)
     out = tmp_path / "ds.txt"
     assert run("dataset", "--n", "16", "--k", "8", "--range-r", "2",
                "--count-d", "3", "--out", str(out)) == 4

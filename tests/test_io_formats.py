@@ -83,6 +83,16 @@ def test_mask_bad_header_value_reported_at_its_line(tmp_path, key):
         iof.load_mask(str(path))
 
 
+def test_mask_rejects_a_repeated_header_key(tmp_path):
+    # the last of two n lines would load this as an (8,4) code
+    path = tmp_path / "m.txt"
+    path.write_text("# polarlab-mask v1\n# n: 16\n# k: 4\n# n: 8\n"
+                    "11110000\n")
+    with pytest.raises(SchemaError,
+                       match=r"m\.txt:4: header field 'n' repeats line 2"):
+        iof.load_mask(str(path))
+
+
 # ---------------------------------------------------------------------------
 # datasets
 

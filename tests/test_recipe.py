@@ -4,6 +4,7 @@ manifests match and re-runs the rest, and a failing stage's exit code ends
 the recipe."""
 
 import importlib.util
+import os
 import pathlib
 import shutil
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from polarlab import search
+from polarlab.channel import MAX_WORKERS
 
 RECIPE = (pathlib.Path(__file__).resolve().parent.parent / "scripts"
           / "paper_scale_recipe.py")
@@ -138,3 +140,20 @@ def test_failing_stage_ends_the_recipe_with_its_exit_code(
     monkeypatch.setattr(search, "output_and_input_gradient", nan_gradient)
     assert run(out, "--skip-existing") == 4  # every PGD restart aborted
     assert not (out / "candidates.txt").exists()
+
+
+def test_default_workers_stay_within_the_cap(tmp_path, monkeypatch):
+    # on a host with more CPUs than MAX_WORKERS the default is the cap,
+    # which every stage accepts; the stages are stubbed, so none starts
+    recipe = small_recipe()
+    commands, pilots = [], []
+    monkeypatch.setattr(os, "cpu_count", lambda: 100_000)
+    monkeypatch.setattr(recipe.cli, "main",
+                        lambda argv: commands.append(argv) or 0)
+    monkeypatch.setattr(recipe, "select_shuffle_range",
+                        lambda *args, workers, **kwargs:
+                        pilots.append(workers) or 8)
+    assert recipe.main(["--out-dir", str(tmp_path)]) == 0
+    threads = {argv[argv.index("--threads") + 1] for argv in commands
+               if "--threads" in argv}
+    assert threads == {str(MAX_WORKERS)} and pilots == [MAX_WORKERS]
