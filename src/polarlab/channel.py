@@ -14,7 +14,6 @@ estimates on one kept pool of fork-started processes, one call per task.
 """
 
 import atexit
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -232,43 +231,50 @@ def estimate_jobs(spec, decoder, channel, jobs, workers):
     normal-approximation interval: it overshoots the target by at most one
     call and depends on the job's seed alone.
 
-    Calls run in rounds of `workers`, one call per task: job k of the
-    first L <= workers unfinished jobs gets its next workers // L +
-    (k < workers % L) calls. So a lone job decodes at most workers - 1
-    calls past its stop, and L = workers jobs decode none. At one worker
-    the calls run here, lazily, and above one on the kept pool (`_pool`).
-    The parent checks each job before its first call and reports each
-    yielded error, as the children log nothing. Any other exception
-    propagates and shuts the pool down.
+    Up to 2 * workers calls are in flight, one call per task, so a
+    process that finishes a call finds the next queued. Each goes to the
+    first unfinished job with a call left and fewer than ceil(workers / L)
+    calls in flight, L the unfinished jobs: a lone job decodes at most
+    workers - 1 calls past its stop, and L >= workers jobs decode none.
+    Outcomes fold in issue order, so each job's in call order. At one
+    worker the calls run here, lazily, and above one on the kept pool
+    (`_pool`). The parent checks each job before its first call and
+    reports each yielded error, as the children log nothing. Any other
+    exception propagates and shuts the pool down.
     """
     m = min(MAX_CALL_BATCHES, max(1, _DECODE_BUDGET // (
         BATCH_FRAMES * decoder.list_size * spec.n_bits)))
     ends = [_caught(_check, spec, mask, decoder, channel) for mask, _ in jobs]
-    starts, frames, errors = ([0] * len(jobs) for _ in range(3))
+    starts, busy, frames, errors = ([0] * len(jobs) for _ in range(4))
+    live = ends.count(None)
+    pool = _pool(workers) if workers > 1 and live else None
+    flight = []  # (job, its call's future, or its task at one worker)
     try:
         for j in range(len(jobs)):
             while ends[j] is None:
-                live = list(itertools.islice(
-                    (i for i in range(j, len(jobs)) if ends[i] is None),
-                    workers))
-                tasks, owners = [], []
-                for k, i in enumerate(live):
+                share, i = -(-workers // live), j
+                while len(flight) < (2 * workers if pool else 1) \
+                        and i < len(jobs):
                     mask, mc = jobs[i]
-                    n_batches = -(-mc.max_frames // BATCH_FRAMES)
-                    stop = starts[i] + m * (workers // len(live)
-                                            + (k < workers % len(live)))
-                    for b in range(starts[i], min(stop, n_batches), m):
-                        tasks.append((spec, mask, decoder, channel, mc,
-                                      range(b, min(b + m, n_batches))))
-                        owners.append(i)
-                    starts[i] = stop
-                run = map if workers == 1 else _pool(workers).map
-                for i, outcome in zip(owners, run(_call, tasks)):
-                    if ends[i] is not None:  # stopped at an earlier call
+                    b = starts[i]
+                    if (ends[i] is not None or busy[i] >= share
+                            or b * BATCH_FRAMES >= mc.max_frames):
+                        i += 1
                         continue
-                    if isinstance(outcome, PolarLabError):
-                        ends[i] = outcome
-                        continue
+                    starts[i] += m
+                    busy[i] += 1
+                    task = (spec, mask, decoder, channel, mc, range(
+                        b, min(b + m, -(-mc.max_frames // BATCH_FRAMES))))
+                    flight.append((i, pool.submit(_call, task) if pool
+                                   else task))
+                i, call = flight.pop(0)
+                busy[i] -= 1
+                outcome = call.result() if pool else _call(call)
+                if ends[i] is not None:  # stopped at an earlier call
+                    continue
+                if isinstance(outcome, PolarLabError):
+                    ends[i] = outcome
+                else:
                     frames[i] += outcome[0]
                     errors[i] += outcome[1]
                     mc = jobs[i][1]
@@ -276,6 +282,7 @@ def estimate_jobs(spec, decoder, channel, jobs, workers):
                             or frames[i] == mc.max_frames):
                         ends[i] = FerEstimate.from_counts(
                             errors[i], frames[i], channel.ebn0_db)
+                live -= ends[i] is not None
             yield ends[j]
     except BaseException:
         _close_pool()  # calls may still run on it, or it may be broken

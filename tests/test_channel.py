@@ -204,14 +204,15 @@ def test_estimate_is_the_prefix_of_aligned_calls_at_any_worker_count():
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
 def test_at_most_workers_minus_one_calls_pass_the_stopping_call(
         workers, monkeypatch, tmp_path):
-    # at w workers a lone estimate decodes w calls per round, so at most
-    # w - 1 calls past the stopping one
+    # at w workers a lone estimate has at most w calls in flight, so it
+    # decodes at most w - 1 calls past the stopping one
     spec = CodeSpec(64, 32)
     mask = build_mask(spec, ga_reliabilities(spec, 3.2))
     seen = _spy_rows(monkeypatch, tmp_path / "rows")
     dec, ch = DecoderConfig("scl", 4), ChannelConfig(1.5, 0.5)
     mc = MonteCarloConfig(5, 200, 100_000, workers)
     est = estimate_fer(spec, mask, dec, ch, mc)
+    channel._close_pool()  # waits for the calls still in flight
     seen = seen()
     used = est.frames // (2 * BATCH_FRAMES)
     assert est.frames == used * 2 * BATCH_FRAMES and used > 1
@@ -224,11 +225,11 @@ def test_at_most_workers_minus_one_calls_pass_the_stopping_call(
         <= est.frame_errors
 
 
-def test_a_round_runs_one_call_each_for_the_first_workers_jobs(
+def test_the_first_workers_calls_in_flight_are_of_different_jobs(
         monkeypatch):
-    """On a stand-in pool of 4 threads, the first round's 4 calls are in
-    flight together (a 4-party barrier times out otherwise) and belong to
-    4 different jobs; the estimates equal those at one worker."""
+    """On a stand-in pool of 4 threads, the first 4 calls are in flight
+    together (a 4-party barrier times out otherwise) and belong to 4
+    different jobs; the estimates equal those at one worker."""
     spec, dec = CodeSpec(16, 8), DecoderConfig("sc")
     ch = ChannelConfig(1.0, 0.5)
     rng = np.random.default_rng(4)
@@ -245,8 +246,8 @@ def test_a_round_runs_one_call_each_for_the_first_workers_jobs(
     def group(spec, mask, decoder, ch, mc, batches):
         with lock:
             seen.append(mask.bits.tobytes())
-            first_round = len(seen) <= 4
-        if first_round:
+            first = len(seen) <= 4
+        if first:
             barrier.wait()
         return _simulate_group(spec, mask, decoder, ch, mc, batches)
 
